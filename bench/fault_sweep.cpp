@@ -83,9 +83,9 @@ int main(int argc, char** argv) {
   const bench::ResilienceArgs res_args = bench::ResilienceArgs::take(argc, argv);
   bench::heading("Fault sweep: lossy trace recovery fidelity");
 
-  const runner::SharedTrace original = runner::share_trace(
-      workload::synthesize_trace(workload::make_profile(workload::AppId::kVenus)));
-  const auto full = trace::compute_stats(*original);
+  const trace::Trace original =
+      workload::synthesize_trace(workload::make_profile(workload::AppId::kVenus));
+  const auto full = trace::compute_stats(original);
   tracer::TracerOptions options;
   options.entries_per_packet = 16;  // small packets so drops bite at low rates
 
@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
   const std::vector<DropResult> drops = pool.run(drop_rates, [&](double rate) {
     faults::FaultPlan plan;
     plan.packet.drop_rate = rate;
-    const auto collector = tracer::instrument_trace(*original, plan, options);
+    const auto collector = tracer::instrument_trace(original, plan, options);
     const auto recovered =
         tracer::reconstruct_lossy(collector.log(), collector.sequences_issued());
     DropResult out;

@@ -100,7 +100,7 @@ void BM_LoadTraceMmap(benchmark::State& state) {
   trace::save_trace(venus_trace(), path);
   std::int64_t records = 0;
   for (auto _ : state) {
-    const trace::Trace t = trace::load_trace_mapped(path);
+    const trace::Trace t = trace::load_trace(path);
     benchmark::DoNotOptimize(t.data());
     records += static_cast<std::int64_t>(t.size());
   }

@@ -192,8 +192,9 @@ AttrSummary AttributionLedger::summarize() const {
     const std::uint64_t stored = cell.key.load(std::memory_order_acquire);
     if (stored == 0) continue;
     const std::uint64_t key = stored - 1;
-    summary.files.push_back(snap(cell, "p" + std::to_string(key >> 20) + ":f" +
-                                           std::to_string(key & 0xFFFFF)));
+    std::string label = "p";
+    label.append(std::to_string(key >> 20)).append(":f").append(std::to_string(key & 0xFFFFF));
+    summary.files.push_back(snap(cell, std::move(label)));
   }
   if (files_overflow_.ops.load(std::memory_order_relaxed) != 0) {
     summary.files.push_back(snap(files_overflow_, "other"));

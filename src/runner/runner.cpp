@@ -508,19 +508,4 @@ std::string ExperimentRunner::status_json() const {
   return out.str();
 }
 
-SharedTrace share_trace(trace::Trace trace) {
-  return std::make_shared<const trace::Trace>(std::move(trace));
-}
-
-SharedTrace load_shared_trace(const std::string& path) {
-  return share_trace(trace::load_trace(path));
-}
-
-SharedTraceFile map_shared_trace(const std::string& path) {
-  auto mapped = trace::MappedFile::open(path);
-  if (!mapped) throw Error("cannot map trace file: " + path);
-  mapped->advise_sequential();
-  return std::make_shared<const trace::MappedFile>(std::move(*mapped));
-}
-
 }  // namespace craysim::runner

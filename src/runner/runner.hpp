@@ -8,8 +8,7 @@
 // pool only decides *when* each point executes — result i is always written
 // by the invocation fn(points[i]), into slot i. Sweep inputs that are shared
 // across points (a parsed trace, a parameter struct) must be shared
-// immutably; SharedTrace below is the intended vehicle for the expensive
-// case.
+// immutably, e.g. through a std::shared_ptr<const T>.
 //
 // The contract extends to the resilience features (docs/RESILIENCE.md):
 // retry backoff and chaos decisions are pure functions of (seed, point
@@ -43,8 +42,6 @@
 
 #include "runner/journal.hpp"
 #include "runner/progress.hpp"
-#include "trace/mapped_file.hpp"
-#include "trace/stream.hpp"
 #include "util/cancel.hpp"
 #include "util/error.hpp"
 
@@ -518,23 +515,5 @@ class ExperimentRunner {
   std::string flight_journal_;
   std::string flight_dump_;
 };
-
-/// An immutable parsed trace shared across sweep points — parse once, replay
-/// from every thread with no copies.
-using SharedTrace = std::shared_ptr<const trace::Trace>;
-
-[[nodiscard]] SharedTrace share_trace(trace::Trace trace);
-[[nodiscard]] SharedTrace load_shared_trace(const std::string& path);
-
-/// A read-only mmap of a trace file shared across sweep points: one set of
-/// page-cache pages feeds every worker (and every runner process — the
-/// kernel shares clean pages machine-wide), and each point can walk its own
-/// zero-copy reader over the mapping. load_shared_trace already parses via
-/// such a mapping; use this when points should *stream* the records instead
-/// of sharing one parsed vector. Throws craysim::Error for unmappable
-/// inputs (FIFO, size-0) — streaming sweeps need a real file.
-using SharedTraceFile = std::shared_ptr<const trace::MappedFile>;
-
-[[nodiscard]] SharedTraceFile map_shared_trace(const std::string& path);
 
 }  // namespace craysim::runner

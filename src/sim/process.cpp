@@ -5,8 +5,7 @@
 namespace craysim::sim {
 namespace {
 
-/// The one replay filter: both the vector and streaming sources funnel every
-/// record through here, so their request streams cannot diverge.
+/// The replay filter: which records become requests, and how.
 std::optional<workload::Request> replay_request(const trace::TraceRecord& r,
                                                 std::uint32_t process_id) {
   if (r.is_comment() || !r.is_logical() || r.data_class() != trace::DataClass::kFileData) {
@@ -24,21 +23,6 @@ std::optional<workload::Request> replay_request(const trace::TraceRecord& r,
 }
 
 }  // namespace
-
-TraceReplaySource::TraceReplaySource(trace::Trace trace, std::uint32_t process_id)
-    : TraceReplaySource(std::make_shared<const trace::Trace>(std::move(trace)), process_id) {}
-
-TraceReplaySource::TraceReplaySource(std::shared_ptr<const trace::Trace> trace,
-                                     std::uint32_t process_id)
-    : trace_(std::move(trace)), process_id_(process_id) {}
-
-std::optional<workload::Request> TraceReplaySource::next() {
-  while (pos_ < trace_->size()) {
-    const trace::TraceRecord& r = (*trace_)[pos_++];
-    if (auto req = replay_request(r, process_id_)) return req;
-  }
-  return std::nullopt;
-}
 
 StreamingReplaySource::StreamingReplaySource(std::unique_ptr<trace::RecordSource> records,
                                              std::uint32_t process_id)

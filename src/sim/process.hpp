@@ -14,32 +14,12 @@ namespace craysim::sim {
 /// come from processTime, requests from (file, offset, length, flags).
 /// Machine response times recorded in the trace are ignored — the simulator
 /// recomputes them under its own configuration.
-class TraceReplaySource final : public workload::RequestSource {
- public:
-  /// Replays records of `process_id` from `trace` (pass 0 to accept every
-  /// record, for single-process traces).
-  TraceReplaySource(trace::Trace trace, std::uint32_t process_id = 0);
-
-  /// Zero-copy variant: replays a trace shared immutably across many
-  /// simulators — the parallel runner's fan-out parses once and every sweep
-  /// point replays the same records.
-  TraceReplaySource(std::shared_ptr<const trace::Trace> trace, std::uint32_t process_id = 0);
-
-  std::optional<workload::Request> next() override;
-
- private:
-  std::shared_ptr<const trace::Trace> trace_;
-  std::uint32_t process_id_;
-  std::size_t pos_ = 0;
-};
-
-/// Streaming variant of TraceReplaySource: pulls records on demand from any
-/// trace::RecordSource (text reader, framed binary stream, mmap-backed
-/// reader from trace::open_record_stream) instead of a materialized Trace,
-/// so peak memory during replay is independent of trace size. Record
-/// filtering and request mapping are shared with TraceReplaySource — fed the
-/// same records, the two produce identical request streams, and therefore
-/// identical SimResults.
+///
+/// Records are pulled on demand from any trace::RecordSource: an in-memory
+/// trace (trace::InMemorySource, shareable across sweep points), or a text
+/// reader, framed binary stream, or mmap-backed reader from
+/// trace::open_record_stream — so peak memory during a file replay is
+/// independent of trace size.
 class StreamingReplaySource final : public workload::RequestSource {
  public:
   /// Replays records of `process_id` (0 = all) pulled from `records`.

@@ -2,58 +2,13 @@
 
 #include "trace/binary_stream.hpp"
 #include "trace/codec.hpp"
+#include "trace/wire.hpp"
 #include "util/error.hpp"
 
 namespace craysim::trace {
-namespace {
 
-// The fixed-width format stores every present integer at its natural C
-// width, as `struct traceRecord` would have been dumped on the Cray (minus
-// absent fields). Values that do not fit are a hard error — one of the
-// practical reasons the study chose variable-length text.
-void put_u16(std::vector<std::byte>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::byte>(v & 0xff));
-  out.push_back(static_cast<std::byte>(v >> 8));
-}
-
-void put_u32(std::vector<std::byte>& out, std::uint64_t v, const char* field) {
-  if (v > 0xffffffffull) {
-    throw TraceFormatError(std::string("binary format overflow in field ") + field);
-  }
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
-}
-
-class Cursor {
- public:
-  explicit Cursor(std::span<const std::byte> data) : data_(data) {}
-
-  std::uint16_t u16() {
-    require(2);
-    const auto v = static_cast<std::uint16_t>(static_cast<std::uint16_t>(data_[pos_]) |
-                                              (static_cast<std::uint16_t>(data_[pos_ + 1]) << 8));
-    pos_ += 2;
-    return v;
-  }
-  std::uint32_t u32() {
-    require(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(data_[pos_ + static_cast<std::size_t>(i)]) << (8 * i);
-    }
-    pos_ += 4;
-    return v;
-  }
-  [[nodiscard]] bool done() const { return pos_ == data_.size(); }
-
- private:
-  void require(std::size_t n) {
-    if (pos_ + n > data_.size()) throw TraceFormatError("binary trace truncated");
-  }
-  std::span<const std::byte> data_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
+using wire::put_u16;
+using wire::put_u32;
 
 // The compressed codec is the whole-trace view of the streaming state
 // machines in binary_stream.hpp: one shared encoder/decoder pair means the
@@ -115,7 +70,7 @@ Trace decode_binary_struct_dump(std::span<const std::byte> data) {
     throw TraceFormatError("struct-dump trace length is not a whole number of records");
   }
   Trace trace;
-  Cursor cursor(data);
+  wire::Cursor cursor(data);
   bool has_previous = false;
   Ticks previous_start;
   auto u64 = [&cursor]() {

@@ -5,62 +5,13 @@
 #include <istream>
 #include <ostream>
 
-#include "trace/codec.hpp"
-#include "trace/mapped_file.hpp"
+#include "trace/wire.hpp"
 #include "util/error.hpp"
 
 namespace craysim::trace {
-namespace {
 
-// Fixed-width little-endian primitives shared by the whole-trace codec
-// (binary.cpp builds on the encoder/decoder below) and the framed stream.
-void put_u16(std::vector<std::byte>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::byte>(v & 0xff));
-  out.push_back(static_cast<std::byte>(v >> 8));
-}
-
-void put_u32(std::vector<std::byte>& out, std::uint64_t v, const char* field) {
-  if (v > 0xffffffffull) {
-    throw TraceFormatError(std::string("binary format overflow in field ") + field);
-  }
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
-}
-
-class Cursor {
- public:
-  explicit Cursor(std::span<const std::byte> data) : data_(data) {}
-
-  std::uint16_t u16() {
-    require(2);
-    const auto v = static_cast<std::uint16_t>(static_cast<std::uint16_t>(data_[pos_]) |
-                                              (static_cast<std::uint16_t>(data_[pos_ + 1]) << 8));
-    pos_ += 2;
-    return v;
-  }
-  std::uint32_t u32() {
-    require(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(data_[pos_ + static_cast<std::size_t>(i)]) << (8 * i);
-    }
-    pos_ += 4;
-    return v;
-  }
-  [[nodiscard]] std::size_t consumed() const { return pos_; }
-
- private:
-  void require(std::size_t n) {
-    if (pos_ + n > data_.size()) throw TraceFormatError("binary trace truncated");
-  }
-  std::span<const std::byte> data_;
-  std::size_t pos_ = 0;
-};
-
-std::uint64_t file_key(std::uint32_t pid, std::uint32_t file_id) {
-  return (static_cast<std::uint64_t>(pid) << 32) | file_id;
-}
-
-}  // namespace
+using wire::put_u16;
+using wire::put_u32;
 
 bool starts_with_binary_magic(std::span<const std::byte> data) {
   return data.size() >= kBinaryTraceMagic.size() &&
@@ -82,7 +33,7 @@ bool BinaryRecordEncoder::encode_to(const TraceRecord& record, std::vector<std::
   if (has_previous_ && record.start_time < previous_start_) {
     throw TraceFormatError("records must be encoded in start-time order");
   }
-  const std::uint64_t key = file_key(record.process_id, record.file_id);
+  const std::uint64_t key = FileFieldState::key_of(record.process_id, record.file_id);
   std::uint16_t compression = 0;
 
   const bool omit_pid = has_previous_ && record.process_id == last_process_id_;
@@ -92,7 +43,7 @@ bool BinaryRecordEncoder::encode_to(const TraceRecord& record, std::vector<std::
       file_it != last_file_by_process_.end() && file_it->second == record.file_id;
   if (omit_file) compression |= kNoFileId;
   const auto state_it = file_states_.find(key);
-  const FileState* state = state_it != file_states_.end() ? &state_it->second : nullptr;
+  const FileFieldState* state = state_it != file_states_.end() ? &state_it->second : nullptr;
   const bool omit_op = state != nullptr && state->has_operation &&
                        state->last_operation_id == record.operation_id;
   if (omit_op) compression |= kNoOperationId;
@@ -129,11 +80,7 @@ bool BinaryRecordEncoder::encode_to(const TraceRecord& record, std::vector<std::
   previous_start_ = record.start_time;
   last_process_id_ = record.process_id;
   last_file_by_process_[record.process_id] = record.file_id;
-  FileState& fs = file_states_[key];
-  fs.next_sequential_offset = record.end();
-  fs.last_length = record.length;
-  fs.last_operation_id = record.operation_id;
-  fs.has_operation = true;
+  file_states_[key].advance(record);
   return true;
 }
 
@@ -145,7 +92,7 @@ void BinaryRecordEncoder::reset() {
 }
 
 BinaryRecordDecoder::Decoded BinaryRecordDecoder::decode(std::span<const std::byte> data) {
-  Cursor cursor(data);
+  wire::Cursor cursor(data);
   TraceRecord record;
   record.record_type = cursor.u16();
   const std::uint16_t c = cursor.u16();
@@ -189,9 +136,9 @@ BinaryRecordDecoder::Decoded BinaryRecordDecoder::decode(std::span<const std::by
     }
     record.file_id = it->second;
   }
-  const std::uint64_t key = file_key(record.process_id, record.file_id);
+  const std::uint64_t key = FileFieldState::key_of(record.process_id, record.file_id);
   const auto state_it = file_states_.find(key);
-  FileState* state = state_it != file_states_.end() ? &state_it->second : nullptr;
+  FileFieldState* state = state_it != file_states_.end() ? &state_it->second : nullptr;
   if (op_field) {
     record.operation_id = *op_field;
   } else if (state != nullptr && state->has_operation) {
@@ -221,11 +168,7 @@ BinaryRecordDecoder::Decoded BinaryRecordDecoder::decode(std::span<const std::by
   has_last_process_ = true;
   last_process_id_ = record.process_id;
   last_file_by_process_[record.process_id] = record.file_id;
-  FileState& fs = file_states_[key];
-  fs.next_sequential_offset = record.end();
-  fs.last_length = record.length;
-  fs.last_operation_id = record.operation_id;
-  fs.has_operation = true;
+  file_states_[key].advance(record);
   return {record, cursor.consumed()};
 }
 
@@ -264,7 +207,7 @@ void BinaryTraceReader::check_header(std::span<const std::byte> header) {
   if (header.size() < kBinaryFrameHeaderBytes || !starts_with_binary_magic(header)) {
     throw TraceFormatError("not a framed binary trace (bad magic)");
   }
-  Cursor cursor(header.subspan(kBinaryTraceMagic.size()));
+  wire::Cursor cursor(header.subspan(kBinaryTraceMagic.size()));
   const std::uint16_t version = cursor.u16();
   const std::uint16_t flags = cursor.u16();
   if (version != kBinaryTraceVersion) {
@@ -339,20 +282,9 @@ void save_trace_binary(const Trace& trace, const std::string& path) {
 }
 
 Trace load_trace_binary(const std::string& path) {
+  const auto source = open_record_stream(path, {.format = TraceFormat::kBinary});
   Trace trace;
-  auto drain = [&trace](BinaryTraceReader& reader) {
-    while (auto record = reader.next()) trace.push_back(*record);
-  };
-  if (auto mapped = MappedFile::open(path)) {
-    mapped->advise_sequential();
-    BinaryTraceReader reader(mapped->bytes());
-    drain(reader);
-    return trace;
-  }
-  const std::string text = read_file(path);
-  BinaryTraceReader reader(
-      std::span(reinterpret_cast<const std::byte*>(text.data()), text.size()));
-  drain(reader);
+  while (auto record = source->next()) trace.push_back(*record);
   return trace;
 }
 

@@ -30,6 +30,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "trace/codec.hpp"
 #include "trace/record.hpp"
 #include "trace/stream.hpp"
 
@@ -66,18 +67,11 @@ class BinaryRecordEncoder {
   void reset();
 
  private:
-  struct FileState {
-    Bytes next_sequential_offset = 0;
-    Bytes last_length = -1;
-    std::uint32_t last_operation_id = 0;
-    bool has_operation = false;
-  };
-
   bool has_previous_ = false;
   Ticks previous_start_;
   std::uint32_t last_process_id_ = 0;
   std::unordered_map<std::uint32_t, std::uint32_t> last_file_by_process_;
-  std::unordered_map<std::uint64_t, FileState> file_states_;  // key: pid<<32|fileId
+  std::unordered_map<std::uint64_t, FileFieldState> file_states_;  // key: FileFieldState::key_of
 };
 
 /// Stateful record-at-a-time decoder mirroring BinaryRecordEncoder. Feeding
@@ -99,19 +93,12 @@ class BinaryRecordDecoder {
   void reset();
 
  private:
-  struct FileState {
-    Bytes next_sequential_offset = 0;
-    Bytes last_length = -1;
-    std::uint32_t last_operation_id = 0;
-    bool has_operation = false;
-  };
-
   bool has_previous_ = false;
   Ticks previous_start_;
   std::uint32_t last_process_id_ = 0;
   bool has_last_process_ = false;
   std::unordered_map<std::uint32_t, std::uint32_t> last_file_by_process_;
-  std::unordered_map<std::uint64_t, FileState> file_states_;
+  std::unordered_map<std::uint64_t, FileFieldState> file_states_;  // key: FileFieldState::key_of
 };
 
 /// Writes a framed binary trace one record at a time. The frame header goes
@@ -174,8 +161,8 @@ class BinaryTraceReader final : public RecordSource {
 /// encode_binary payload). Throws Error on I/O failure.
 void save_trace_binary(const Trace& trace, const std::string& path);
 
-/// Loads a framed binary trace from `path`: mmap when possible, chunked
-/// read otherwise. Throws Error on I/O failure, TraceFormatError on bad
+/// Loads a framed binary trace from `path` through the same byte path as
+/// load_trace (stream.hpp). Throws Error on I/O failure, TraceFormatError on bad
 /// frames.
 [[nodiscard]] Trace load_trace_binary(const std::string& path);
 

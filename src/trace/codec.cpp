@@ -9,10 +9,6 @@
 namespace craysim::trace {
 namespace {
 
-std::uint64_t file_key(std::uint32_t pid, std::uint32_t file_id) {
-  return (static_cast<std::uint64_t>(pid) << 32) | file_id;
-}
-
 void append_int(std::string& out, std::int64_t value) {
   if (!out.empty()) out += ' ';
   char buf[24];
@@ -55,7 +51,7 @@ std::string AsciiTraceEncoder::encode(const TraceRecord& record) {
   }
 
   std::uint16_t compression = 0;
-  const std::uint64_t key = file_key(record.process_id, record.file_id);
+  const std::uint64_t key = FileFieldState::key_of(record.process_id, record.file_id);
 
   const bool omit_pid = has_previous_ && record.process_id == last_process_id_;
   if (omit_pid) compression |= kNoProcessId;
@@ -66,7 +62,7 @@ std::string AsciiTraceEncoder::encode(const TraceRecord& record) {
   if (omit_file) compression |= kNoFileId;
 
   const auto state_it = file_states_.find(key);
-  const FileState* state = state_it != file_states_.end() ? &state_it->second : nullptr;
+  const FileFieldState* state = state_it != file_states_.end() ? &state_it->second : nullptr;
 
   const bool omit_op =
       state != nullptr && state->has_operation && state->last_operation_id == record.operation_id;
@@ -109,11 +105,7 @@ std::string AsciiTraceEncoder::encode(const TraceRecord& record) {
   previous_start_ = record.start_time;
   last_process_id_ = record.process_id;
   last_file_by_process_[record.process_id] = record.file_id;
-  FileState& fs = file_states_[key];
-  fs.next_sequential_offset = record.end();
-  fs.last_length = record.length;
-  fs.last_operation_id = record.operation_id;
-  fs.has_operation = true;
+  file_states_[key].advance(record);
   return line;
 }
 
@@ -249,9 +241,9 @@ std::optional<TraceRecord> AsciiTraceDecoder::decode_line(std::string_view line)
     record.file_id = it->second;
   }
 
-  const std::uint64_t key = file_key(record.process_id, record.file_id);
+  const std::uint64_t key = FileFieldState::key_of(record.process_id, record.file_id);
   auto state_it = file_states_.find(key);
-  FileState* state = state_it != file_states_.end() ? &state_it->second : nullptr;
+  FileFieldState* state = state_it != file_states_.end() ? &state_it->second : nullptr;
 
   if (op_field) {
     record.operation_id = *op_field;
@@ -298,11 +290,7 @@ std::optional<TraceRecord> AsciiTraceDecoder::decode_line(std::string_view line)
   has_last_process_ = true;
   last_process_id_ = record.process_id;
   last_file_by_process_[record.process_id] = record.file_id;
-  FileState& fs = file_states_[key];
-  fs.next_sequential_offset = record.end();
-  fs.last_length = record.length;
-  fs.last_operation_id = record.operation_id;
-  fs.has_operation = true;
+  file_states_[key].advance(record);
   return record;
 }
 

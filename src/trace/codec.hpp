@@ -27,6 +27,29 @@
 
 namespace craysim::trace {
 
+/// Per-file relative-field state every compressing codec keeps (ASCII and
+/// binary, encoder and decoder alike): what the file's next record may omit,
+/// or must be reconstructed from.
+struct FileFieldState {
+  Bytes next_sequential_offset = 0;
+  Bytes last_length = -1;
+  std::uint32_t last_operation_id = 0;
+  bool has_operation = false;
+
+  /// Map key of a (process, file) pair: pid<<32 | fileId.
+  static std::uint64_t key_of(std::uint32_t pid, std::uint32_t file_id) {
+    return (static_cast<std::uint64_t>(pid) << 32) | file_id;
+  }
+
+  /// Records `record` as the file's latest access.
+  void advance(const TraceRecord& record) {
+    next_sequential_offset = record.end();
+    last_length = record.length;
+    last_operation_id = record.operation_id;
+    has_operation = true;
+  }
+};
+
 /// Stateful encoder: feed records carrying ABSOLUTE start times; emits
 /// compressed wire lines. The same instance must encode an entire trace in
 /// order, since compression is relative to earlier records.
@@ -44,18 +67,11 @@ class AsciiTraceEncoder {
   void reset();
 
  private:
-  struct FileState {
-    Bytes next_sequential_offset = 0;
-    Bytes last_length = -1;
-    std::uint32_t last_operation_id = 0;
-    bool has_operation = false;
-  };
-
   bool has_previous_ = false;
   Ticks previous_start_;
   std::uint32_t last_process_id_ = 0;
   std::unordered_map<std::uint32_t, std::uint32_t> last_file_by_process_;
-  std::unordered_map<std::uint64_t, FileState> file_states_;  // key: pid<<32|fileId
+  std::unordered_map<std::uint64_t, FileFieldState> file_states_;  // key: FileFieldState::key_of
 };
 
 /// Stateful decoder: feed wire lines in order; produces records with
@@ -77,19 +93,12 @@ class AsciiTraceDecoder {
   void reset();
 
  private:
-  struct FileState {
-    Bytes next_sequential_offset = 0;
-    Bytes last_length = -1;
-    std::uint32_t last_operation_id = 0;
-    bool has_operation = false;
-  };
-
   bool has_previous_ = false;
   Ticks previous_start_;
   std::uint32_t last_process_id_ = 0;
   bool has_last_process_ = false;
   std::unordered_map<std::uint32_t, std::uint32_t> last_file_by_process_;
-  std::unordered_map<std::uint64_t, FileState> file_states_;
+  std::unordered_map<std::uint64_t, FileFieldState> file_states_;  // key: FileFieldState::key_of
   std::string last_comment_;
   std::int64_t comment_count_ = 0;
 };

@@ -8,7 +8,7 @@
 //
 // Mapping only works for regular files with a real size. FIFOs, /dev/stdin,
 // and /proc entries that report size 0 cannot be mapped; callers fall back
-// to the chunked read path (see stream.cpp read_file), which is why
+// to a stream or chunked read (see stream.cpp open_trace_bytes), which is why
 // MappedFile::open returns nullopt instead of throwing for those.
 #pragma once
 

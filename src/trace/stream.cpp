@@ -2,8 +2,11 @@
 
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <sstream>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "obs/metrics.hpp"
 #include "trace/binary_stream.hpp"
@@ -68,41 +71,7 @@ std::optional<TraceRecord> decode_with_policy(AsciiTraceDecoder& decoder, std::s
   return std::nullopt;
 }
 
-/// The chunked tail of read_file, shared with open_record_stream so the
-/// non-seekable fallback there never has to reopen a FIFO (a second open
-/// could block forever once the writer is gone).
-void append_chunked(std::istream& in, std::string& text) {
-  char chunk[1 << 16];
-  while (in.read(chunk, sizeof chunk) || in.gcount() > 0) {
-    text.append(chunk, static_cast<std::size_t>(in.gcount()));
-  }
-}
-
 }  // namespace
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error("cannot open for reading: " + path);
-  std::string text;
-  in.seekg(0, std::ios::end);
-  const auto size = in.tellg();
-  if (size > 0) {
-    text.resize(static_cast<std::size_t>(size));
-    in.seekg(0);
-    in.read(text.data(), size);
-  } else {
-    // Unknown or zero reported size: non-seekable input (FIFO, /dev/stdin)
-    // makes the end-seek fail with tellg() == -1, and some special files
-    // (/proc) report size 0 despite having content. Rewind (a no-op failure
-    // on pipes, which the seek never consumes from) and read in chunks.
-    in.clear();
-    in.seekg(0);
-    in.clear();
-    append_chunked(in, text);
-  }
-  if (in.bad()) throw Error("read failed: " + path);
-  return text;
-}
 
 void TraceWriter::write(const TraceRecord& record) {
   *out_ << encoder_.encode(record) << '\n';
@@ -139,6 +108,124 @@ std::optional<TraceRecord> TraceTextReader::next() {
   return std::nullopt;
 }
 
+std::optional<TraceRecord> InMemorySource::next() {
+  if (pos_ == trace_->size()) return std::nullopt;
+  return (*trace_)[pos_++];
+}
+
+namespace {
+
+/// A trace file's bytes, held the one way they reach a reader: a read-only
+/// mapping, a bounded-buffer stream over a seekable file, or the whole input
+/// read once in chunks.
+using TraceBytes = std::variant<MappedFile, std::ifstream, std::string>;
+
+/// The one byte path under every file loader and open_record_stream. Maps
+/// `path` when `prefer_mmap` allows and the file is mappable (zero-copy parse
+/// over shared page-cache pages). Otherwise opens a stream, which a seekable
+/// file with a real size keeps, rewound — peak memory stays independent of
+/// trace size. Non-seekable inputs (FIFO, /dev/stdin) and special files that
+/// report size 0 (/proc) are read in chunks from that same open stream:
+/// a second open of a FIFO could block forever once the writer is gone.
+TraceBytes open_trace_bytes(const std::string& path, bool prefer_mmap) {
+  if (prefer_mmap) {
+    if (auto mapped = MappedFile::open(path)) {
+      mapped->advise_sequential();
+      return std::move(*mapped);
+    }
+  }
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw Error("cannot open for reading: " + path);
+  in.seekg(0, std::ios::end);
+  const auto size = in.tellg();
+  // On a pipe the end-seek fails (tellg() == -1) without consuming input, so
+  // the rewind is a harmless failed no-op there.
+  in.clear();
+  in.seekg(0);
+  if (size > 0) return in;
+  in.clear();
+  std::string text;
+  char chunk[1 << 16];
+  while (in.read(chunk, sizeof chunk) || in.gcount() > 0) {
+    text.append(chunk, static_cast<std::size_t>(in.gcount()));
+  }
+  if (in.bad()) throw Error("read failed: " + path);
+  return text;
+}
+
+/// What `Reader` borrows from each kind of storage: text as a string_view,
+/// binary as a byte span, and the stream itself for stream storage.
+template <class Reader>
+auto borrow(const MappedFile& mapped) {
+  if constexpr (std::is_same_v<Reader, BinaryTraceReader>) {
+    return mapped.bytes();
+  } else {
+    return mapped.view();
+  }
+}
+
+template <class Reader>
+auto borrow(const std::string& buffered) {
+  if constexpr (std::is_same_v<Reader, BinaryTraceReader>) {
+    return std::as_bytes(std::span(buffered));
+  } else {
+    return std::string_view(buffered);
+  }
+}
+
+template <class Reader>
+std::istream& borrow(std::ifstream& in) {
+  return in;
+}
+
+/// The text reader for a storage: string_view walking over in-memory bytes,
+/// getline over a stream.
+template <class Storage>
+using TextReaderFor =
+    std::conditional_t<std::is_same_v<Storage, std::ifstream>, TraceReader, TraceTextReader>;
+
+/// True when the bytes start like a framed binary trace.
+bool looks_binary(const MappedFile& mapped) { return starts_with_binary_magic(mapped.bytes()); }
+bool looks_binary(const std::string& buffered) { return starts_with_binary_magic(buffered); }
+bool looks_binary(std::ifstream& in) {
+  // The magic's lead byte is non-ASCII, so no text trace collides with it:
+  // one peeked byte decides without consuming anything.
+  return in.peek() == std::to_integer<int>(kBinaryTraceMagic[0]);
+}
+
+/// A record stream that owns its bytes. Member order is the lifetime
+/// contract: the storage is constructed before, and destroyed after, the
+/// reader that borrows from it.
+template <class Storage, class Reader>
+class OwningSource final : public RecordSource {
+ public:
+  explicit OwningSource(Storage storage)
+      : storage_(std::move(storage)), reader_(borrow<Reader>(storage_)) {}
+
+  [[nodiscard]] std::optional<TraceRecord> next() override { return reader_.next(); }
+
+ private:
+  Storage storage_;
+  Reader reader_;
+};
+
+template <class Reader>
+Trace drain(Reader& reader) {
+  Trace trace;
+  while (auto record = reader.next()) trace.push_back(*record);
+  return trace;
+}
+
+}  // namespace
+
+std::string read_file(const std::string& path) {
+  TraceBytes bytes = open_trace_bytes(path, /*prefer_mmap=*/false);
+  if (auto* buffered = std::get_if<std::string>(&bytes)) return std::move(*buffered);
+  std::ostringstream out;
+  out << std::get<std::ifstream>(bytes).rdbuf();
+  return std::move(out).str();
+}
+
 std::string serialize_trace(const Trace& trace, std::string_view header_comment) {
   std::ostringstream out;
   TraceWriter writer(out);
@@ -149,28 +236,27 @@ std::string serialize_trace(const Trace& trace, std::string_view header_comment)
 
 Trace parse_trace(std::string_view text) {
   TraceTextReader reader(text);
-  Trace trace;
-  while (auto record = reader.next()) trace.push_back(*record);
-  return trace;
+  return drain(reader);
 }
 
 RecoveredTrace parse_trace_lossy(std::string_view text, const RecoveryOptions& recovery) {
   TraceTextReader reader(text, recovery);
-  RecoveredTrace result;
-  while (auto record = reader.next()) result.trace.push_back(*record);
+  RecoveredTrace result{drain(reader), {}};
   result.report = reader.report();
   return result;
 }
 
 RecoveredTrace load_trace_lossy(const std::string& path, const RecoveryOptions& recovery) {
-  // Mapped path first (zero-copy parse over page-cache pages); unmappable
-  // inputs (FIFO, /dev/stdin, size-0 /proc files) take the chunked read.
-  if (auto mapped = MappedFile::open(path)) {
-    mapped->advise_sequential();
-    return parse_trace_lossy(mapped->view(), recovery);
-  }
-  const std::string text = read_file(path);
-  return parse_trace_lossy(text, recovery);
+  TraceBytes bytes = open_trace_bytes(path, /*prefer_mmap=*/true);
+  return std::visit(
+      [&recovery](auto& storage) {
+        using Reader = TextReaderFor<std::decay_t<decltype(storage)>>;
+        Reader reader(borrow<Reader>(storage), recovery);
+        RecoveredTrace result{drain(reader), {}};
+        result.report = reader.report();
+        return result;
+      },
+      bytes);
 }
 
 void save_trace(const Trace& trace, const std::string& path, std::string_view header_comment) {
@@ -182,150 +268,23 @@ void save_trace(const Trace& trace, const std::string& path, std::string_view he
   if (!out) throw Error("write failed: " + path);
 }
 
-Trace load_trace(const std::string& path) { return load_trace_mapped(path); }
-
-Trace load_trace_mapped(const std::string& path) {
-  if (auto mapped = MappedFile::open(path)) {
-    mapped->advise_sequential();
-    return parse_trace(mapped->view());
-  }
-  const std::string text = read_file(path);
-  return parse_trace(text);
+Trace load_trace(const std::string& path) {
+  return drain(*open_record_stream(path, {.format = TraceFormat::kText}));
 }
-
-namespace {
-
-// RecordSource wrappers that own their backing storage (mapping, stream, or
-// buffer). Member order matters: the reader is declared after the storage it
-// borrows from so construction and destruction sequence correctly.
-
-class MappedTextSource final : public RecordSource {
- public:
-  explicit MappedTextSource(MappedFile mapped)
-      : mapped_(std::move(mapped)), reader_(mapped_.view()) {}
-  [[nodiscard]] std::optional<TraceRecord> next() override { return reader_.next(); }
-
- private:
-  MappedFile mapped_;
-  TraceTextReader reader_;
-};
-
-class MappedBinarySource final : public RecordSource {
- public:
-  explicit MappedBinarySource(MappedFile mapped)
-      : mapped_(std::move(mapped)), reader_(mapped_.bytes()) {}
-  [[nodiscard]] std::optional<TraceRecord> next() override { return reader_.next(); }
-
- private:
-  MappedFile mapped_;
-  BinaryTraceReader reader_;
-};
-
-class FileTextSource final : public RecordSource {
- public:
-  explicit FileTextSource(std::unique_ptr<std::ifstream> in)
-      : in_(std::move(in)), reader_(*in_) {}
-  [[nodiscard]] std::optional<TraceRecord> next() override { return reader_.next(); }
-
- private:
-  std::unique_ptr<std::ifstream> in_;
-  TraceReader reader_;
-};
-
-class FileBinarySource final : public RecordSource {
- public:
-  explicit FileBinarySource(std::unique_ptr<std::ifstream> in)
-      : in_(std::move(in)), reader_(*in_) {}
-  [[nodiscard]] std::optional<TraceRecord> next() override { return reader_.next(); }
-
- private:
-  std::unique_ptr<std::ifstream> in_;
-  BinaryTraceReader reader_;
-};
-
-class BufferedTextSource final : public RecordSource {
- public:
-  explicit BufferedTextSource(std::string text)
-      : text_(std::move(text)), reader_(text_) {}
-  [[nodiscard]] std::optional<TraceRecord> next() override { return reader_.next(); }
-
- private:
-  std::string text_;
-  TraceTextReader reader_;
-};
-
-class BufferedBinarySource final : public RecordSource {
- public:
-  explicit BufferedBinarySource(std::string bytes)
-      : bytes_(std::move(bytes)),
-        reader_(std::span(reinterpret_cast<const std::byte*>(bytes_.data()), bytes_.size())) {}
-  [[nodiscard]] std::optional<TraceRecord> next() override { return reader_.next(); }
-
- private:
-  std::string bytes_;
-  BinaryTraceReader reader_;
-};
-
-}  // namespace
 
 std::unique_ptr<RecordSource> open_record_stream(const std::string& path,
                                                  const StreamOptions& options) {
-  TraceFormat format = options.format;
-
-  if (options.prefer_mmap) {
-    if (auto mapped = MappedFile::open(path)) {
-      mapped->advise_sequential();
-      if (format == TraceFormat::kAuto) {
-        format = starts_with_binary_magic(mapped->bytes()) ? TraceFormat::kBinary
-                                                           : TraceFormat::kText;
-      }
-      if (format == TraceFormat::kBinary) {
-        return std::make_unique<MappedBinarySource>(std::move(*mapped));
-      }
-      return std::make_unique<MappedTextSource>(std::move(*mapped));
-    }
-  }
-
-  auto in = std::make_unique<std::ifstream>(path, std::ios::binary);
-  if (!*in) throw Error("cannot open for reading: " + path);
-  in->seekg(0, std::ios::end);
-  const auto size = in->tellg();
-  if (size > 0) {
-    // Seekable: sniff one byte (the binary magic's lead byte is non-ASCII,
-    // so no text trace can collide), rewind, and stream through a bounded
-    // buffer — peak memory stays independent of trace size.
-    in->seekg(0);
-    if (format == TraceFormat::kAuto) {
-      char head = 0;
-      in->read(&head, 1);
-      const bool binary =
-          in->gcount() == 1 && static_cast<std::byte>(head) == kBinaryTraceMagic[0];
-      format = binary ? TraceFormat::kBinary : TraceFormat::kText;
-      in->clear();
-      in->seekg(0);
-    }
-    if (format == TraceFormat::kBinary) {
-      return std::make_unique<FileBinarySource>(std::move(in));
-    }
-    return std::make_unique<FileTextSource>(std::move(in));
-  }
-
-  // Non-seekable (FIFO, /dev/stdin) or size-0 special file: a sniff cannot
-  // push bytes back, so buffer the whole input once and stream from memory.
-  in->clear();
-  in->seekg(0);
-  in->clear();
-  std::string text;
-  append_chunked(*in, text);
-  if (in->bad()) throw Error("read failed: " + path);
-  if (format == TraceFormat::kAuto) {
-    format = starts_with_binary_magic(std::string_view(text)) ? TraceFormat::kBinary
-                                                              : TraceFormat::kText;
-  }
-  if (format == TraceFormat::kBinary) {
-    return std::make_unique<BufferedBinarySource>(std::move(text));
-  }
-  return std::make_unique<BufferedTextSource>(std::move(text));
+  return std::visit(
+      [&options](auto&& storage) -> std::unique_ptr<RecordSource> {
+        using Storage = std::decay_t<decltype(storage)>;
+        if (options.format == TraceFormat::kBinary ||
+            (options.format == TraceFormat::kAuto && looks_binary(storage))) {
+          return std::make_unique<OwningSource<Storage, BinaryTraceReader>>(std::move(storage));
+        }
+        return std::make_unique<OwningSource<Storage, TextReaderFor<Storage>>>(
+            std::move(storage));
+      },
+      open_trace_bytes(path, options.prefer_mmap));
 }
 
 }  // namespace craysim::trace

@@ -22,7 +22,8 @@ namespace craysim::trace {
 using Trace = std::vector<TraceRecord>;
 
 /// A pull-based stream of trace records: the common next() interface of
-/// TraceReader, TraceTextReader, and BinaryTraceReader (binary_stream.hpp).
+/// InMemorySource, TraceReader, TraceTextReader, and BinaryTraceReader
+/// (binary_stream.hpp).
 /// Consumers that only need one record at a time (sim::StreamingReplaySource,
 /// trace statistics over traces larger than RAM) take this instead of a
 /// materialized Trace.
@@ -32,6 +33,22 @@ class RecordSource {
 
   /// Next record, or nullopt at end of stream.
   [[nodiscard]] virtual std::optional<TraceRecord> next() = 0;
+};
+
+/// The records of an in-memory trace, in order. Holds the trace by shared
+/// pointer, so many sources (one per sweep point, on any thread) can replay
+/// one parsed trace with no copies.
+class InMemorySource final : public RecordSource {
+ public:
+  explicit InMemorySource(std::shared_ptr<const Trace> trace) : trace_(std::move(trace)) {}
+  explicit InMemorySource(Trace trace)
+      : trace_(std::make_shared<const Trace>(std::move(trace))) {}
+
+  [[nodiscard]] std::optional<TraceRecord> next() override;
+
+ private:
+  std::shared_ptr<const Trace> trace_;
+  std::size_t pos_ = 0;
 };
 
 /// Writes records (and comments) to a text stream in the wire format.
@@ -167,21 +184,20 @@ struct RecoveredTrace {
 
 /// File variants. Throw craysim::Error on I/O failure.
 ///
-/// load_trace (and load_trace_lossy above) route through a read-only mmap of
-/// the file when possible — cold start on a multi-GB trace costs one
-/// mmap(2) and the parse walks string_views over shared page-cache pages —
-/// falling back to the chunked read below for FIFOs, /dev/stdin, and
-/// size-0 /proc inputs. load_trace_mapped is the same routing under its
-/// explicit name.
+/// Every file reader here (load_trace, load_trace_lossy, load_trace_binary,
+/// open_record_stream) gets its bytes the same way: a read-only mmap of the
+/// file when possible — cold start on a multi-GB trace costs one mmap(2) and
+/// the parse walks string_views over shared page-cache pages — else a
+/// bounded stream over a seekable file, else (FIFOs, /dev/stdin, size-0
+/// /proc inputs) one chunked read of the already-open input.
 void save_trace(const Trace& trace, const std::string& path,
                 std::string_view header_comment = {});
 [[nodiscard]] Trace load_trace(const std::string& path);
-[[nodiscard]] Trace load_trace_mapped(const std::string& path);
 
-/// Reads a whole file into memory, coping with non-seekable inputs (FIFOs,
-/// /dev/stdin) and special files that report size 0 (/proc) by reading in
-/// chunks. The mmap-averse fallback under load_trace*; exposed for callers
-/// that need the raw text. Throws craysim::Error on I/O failure.
+/// Reads a whole file into memory without mapping it, coping with
+/// non-seekable inputs (FIFOs, /dev/stdin) and special files that report
+/// size 0 (/proc). For callers that need the raw text. Throws
+/// craysim::Error on I/O failure.
 [[nodiscard]] std::string read_file(const std::string& path);
 
 /// How open_record_stream should interpret the file.

@@ -112,7 +112,9 @@ TEST(BatchSystem, ProcessorSharingSlowsOversubscribedMachine) {
 TEST(BatchSystem, QueuePartitionLimitsResidency) {
   // Partition of 384 MB: three 128 MB jobs fit, a fourth must wait.
   BatchSystem system(8, Bytes{1024} * kMB, nasa_queues());
-  for (int i = 0; i < 4; ++i) system.submit(job("j" + std::to_string(i), 128, 100));
+  for (int i = 0; i < 4; ++i) {
+    system.submit(job(std::string("j").append(std::to_string(i)), 128, 100));
+  }
   const auto result = system.run();
   int immediate = 0;
   for (const auto& r : result.jobs) {
@@ -158,7 +160,8 @@ TEST(BatchSystem, DeterministicResults) {
   auto run_once = [] {
     BatchSystem system(4, Bytes{1024} * kMB, nasa_queues());
     for (int i = 0; i < 10; ++i) {
-      system.submit(job("j" + std::to_string(i), 64 + 32 * (i % 3), 100 + 13 * i, 5 * i));
+      system.submit(
+          job(std::string("j").append(std::to_string(i)), 64 + 32 * (i % 3), 100 + 13 * i, 5 * i));
     }
     return system.run();
   };

@@ -36,7 +36,10 @@ TEST_P(FsProperty, RandomWorkloadKeepsInvariants) {
       // Create or grow.
       if (live.empty() || rng.chance(0.3)) {
         LiveFile file;
-        file.id = fs.create("p" + std::to_string(GetParam()) + "-" + std::to_string(created++));
+        file.id = fs.create(std::string("p")
+                                .append(std::to_string(GetParam()))
+                                .append("-")
+                                .append(std::to_string(created++)));
         live.push_back(file);
       }
       LiveFile& target = live[static_cast<std::size_t>(

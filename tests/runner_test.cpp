@@ -172,13 +172,14 @@ TEST(ExperimentRunnerTest, SimulationsAreBitIdenticalForAnyThreadCount) {
 }
 
 TEST(ExperimentRunnerTest, SharedTraceReplayIsBitIdenticalAndCopyFree) {
-  const SharedTrace shared = share_trace(workload::synthesize_trace(tiny_app()));
+  const auto shared = std::make_shared<const trace::Trace>(workload::synthesize_trace(tiny_app()));
   ASSERT_FALSE(shared->empty());
 
   auto replay_point = [&shared](Bytes cache_size) {
     sim::SimParams params = sim::SimParams::paper_main_memory(cache_size);
     sim::Simulator simulator(params);
-    simulator.add_process("replay", std::make_unique<sim::TraceReplaySource>(shared));
+    simulator.add_process("replay", std::make_unique<sim::StreamingReplaySource>(
+                                        std::make_unique<trace::InMemorySource>(shared)));
     return digest_result(simulator.run());
   };
   const std::vector<Bytes> sizes = {2 * kMB, 4 * kMB, 8 * kMB, 16 * kMB};

@@ -240,7 +240,8 @@ TEST(Simulator, TraceReplayMatchesGeneratorBehaviour) {
   const auto trace = workload::synthesize_trace(profile);
 
   Simulator replay_sim(SimParams::paper_ssd(Bytes{64} * kMB));
-  replay_sim.add_process("replay", std::make_unique<TraceReplaySource>(trace));
+  replay_sim.add_process("replay", std::make_unique<StreamingReplaySource>(
+                                       std::make_unique<trace::InMemorySource>(trace)));
   const auto replayed = replay_sim.run();
 
   EXPECT_EQ(replayed.processes[0].io_count, static_cast<std::int64_t>(trace.size()));
@@ -250,7 +251,7 @@ TEST(Simulator, TraceReplayMatchesGeneratorBehaviour) {
   EXPECT_NEAR(replayed.processes[0].cpu_time.seconds(), stats.cpu_time.seconds(), 1.0);
 }
 
-TEST(TraceReplaySource, FiltersByProcessId) {
+TEST(StreamingReplaySource, FiltersByProcessId) {
   trace::Trace t;
   for (std::uint32_t pid : {1u, 2u, 1u}) {
     trace::TraceRecord r;
@@ -261,13 +262,13 @@ TEST(TraceReplaySource, FiltersByProcessId) {
     r.process_time = Ticks(10);
     t.push_back(r);
   }
-  TraceReplaySource source(t, 1);
+  StreamingReplaySource source(std::make_unique<trace::InMemorySource>(t), 1);
   int count = 0;
   while (source.next()) ++count;
   EXPECT_EQ(count, 2);
 }
 
-TEST(TraceReplaySource, SkipsNonLogicalRecords) {
+TEST(StreamingReplaySource, SkipsNonLogicalRecords) {
   trace::Trace t;
   trace::TraceRecord phys;
   phys.record_type = trace::make_record_type(false, false, false);
@@ -277,7 +278,7 @@ TEST(TraceReplaySource, SkipsNonLogicalRecords) {
   meta.record_type = trace::make_record_type(true, true, false, trace::DataClass::kMetaData);
   meta.length = 100;
   t.push_back(meta);
-  TraceReplaySource source(t);
+  StreamingReplaySource source(std::make_unique<trace::InMemorySource>(t));
   EXPECT_FALSE(source.next().has_value());
 }
 

@@ -16,6 +16,7 @@
 #include "sim/metrics.hpp"
 #include "sim/simulator.hpp"
 #include "trace/binary_stream.hpp"
+#include "trace/mapped_file.hpp"
 #include "trace/stream.hpp"
 #include "workload/profiles.hpp"
 #include "workload/trace_gen.hpp"
@@ -33,6 +34,13 @@ const trace::Trace& venus() {
   return t;
 }
 
+/// The whole-trace side of every comparison: the materialized trace,
+/// replayed from memory.
+std::unique_ptr<StreamingReplaySource> in_memory(trace::Trace t, std::uint32_t pid = 0) {
+  return std::make_unique<StreamingReplaySource>(
+      std::make_unique<trace::InMemorySource>(std::move(t)), pid);
+}
+
 std::string run_replay(std::unique_ptr<workload::RequestSource> source) {
   Simulator s(SimParams::paper_ssd(Bytes{64} * kMB));
   s.add_process("replay", std::move(source));
@@ -42,10 +50,10 @@ std::string run_replay(std::unique_ptr<workload::RequestSource> source) {
 TEST(StreamingReplay, RequestStreamMatchesVectorReplay) {
   const std::string path = temp_path("craysim_streaming_requests.bin");
   trace::save_trace_binary(venus(), path);
-  TraceReplaySource whole(venus());
+  const auto whole = in_memory(venus());
   StreamingReplaySource streamed(trace::open_record_stream(path));
   while (true) {
-    const auto a = whole.next();
+    const auto a = whole->next();
     const auto b = streamed.next();
     ASSERT_EQ(a.has_value(), b.has_value());
     if (!a) break;
@@ -63,7 +71,7 @@ TEST(StreamingReplay, RequestStreamMatchesVectorReplay) {
 TEST(StreamingReplay, BinaryStreamReplayIsBitIdenticalToWholeTrace) {
   const std::string path = temp_path("craysim_streaming_replay.bin");
   trace::save_trace_binary(venus(), path);
-  const std::string whole = run_replay(std::make_unique<TraceReplaySource>(venus()));
+  const std::string whole = run_replay(in_memory(venus()));
 
   for (const bool prefer_mmap : {true, false}) {
     trace::StreamOptions options;
@@ -78,7 +86,7 @@ TEST(StreamingReplay, BinaryStreamReplayIsBitIdenticalToWholeTrace) {
 TEST(StreamingReplay, TextStreamReplayIsBitIdenticalToWholeTrace) {
   const std::string path = temp_path("craysim_streaming_replay.trace");
   trace::save_trace(venus(), path, "streaming replay");
-  const std::string whole = run_replay(std::make_unique<TraceReplaySource>(venus()));
+  const std::string whole = run_replay(in_memory(venus()));
   for (const bool prefer_mmap : {true, false}) {
     trace::StreamOptions options;
     options.prefer_mmap = prefer_mmap;
@@ -109,10 +117,10 @@ TEST(StreamingReplay, FiltersByProcessIdLikeVectorReplay) {
   const std::string path = temp_path("craysim_streaming_filter.bin");
   trace::save_trace_binary(t, path);
 
-  TraceReplaySource whole(t, 2);
+  const auto whole = in_memory(t, 2);
   StreamingReplaySource streamed(trace::open_record_stream(path), 2);
   while (true) {
-    const auto a = whole.next();
+    const auto a = whole->next();
     const auto b = streamed.next();
     ASSERT_EQ(a.has_value(), b.has_value());
     if (!a) break;
@@ -127,9 +135,11 @@ TEST(StreamingReplay, SweepPointsShareOneMappingAndAgree) {
   // the whole-trace result.
   const std::string path = temp_path("craysim_streaming_sweep.bin");
   trace::save_trace_binary(venus(), path);
-  const std::string whole = run_replay(std::make_unique<TraceReplaySource>(venus()));
+  const std::string whole = run_replay(in_memory(venus()));
 
-  const runner::SharedTraceFile mapped = runner::map_shared_trace(path);
+  auto mapping = trace::MappedFile::open(path);
+  ASSERT_TRUE(mapping.has_value());
+  const auto mapped = std::make_shared<const trace::MappedFile>(std::move(*mapping));
   runner::ExperimentRunner pool;
   const std::vector<int> points = {0, 1, 2};
   const auto results = pool.run(points, [&](int) {
@@ -138,10 +148,6 @@ TEST(StreamingReplay, SweepPointsShareOneMappingAndAgree) {
   });
   for (const auto& result : results) EXPECT_EQ(result, whole);
   std::remove(path.c_str());
-}
-
-TEST(MapSharedTrace, RejectsUnmappableInputs) {
-  EXPECT_THROW((void)runner::map_shared_trace("/nonexistent/dir/x.bin"), Error);
 }
 
 }  // namespace

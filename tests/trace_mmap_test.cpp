@@ -1,20 +1,21 @@
-// mmap-backed trace ingestion: MappedFile semantics, byte-identity of the
-// mapped view with read_file, the FIFO/size-0 fallback regression, and
-// open_record_stream routing (mmap vs bounded-stream, sniffed vs forced
-// format).
+// Trace ingestion: MappedFile semantics, byte-identity of the mapped view
+// with read_file, and one table over every route a trace's bytes take to a
+// reader (mmap vs bounded stream vs chunked read, sniffed vs forced format),
+// including the FIFO/size-0 fallback regressions.
 #include "trace/mapped_file.hpp"
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <span>
 #include <sstream>
 #include <thread>
-
-#ifdef __unix__
-#include <sys/stat.h>
-#endif
+#include <tuple>
 
 #include "trace/binary_stream.hpp"
 #include "trace/stream.hpp"
@@ -71,71 +72,107 @@ TEST(MappedFile, RefusesMissingAndEmptyFiles) {
   std::remove(path.c_str());
 }
 
-TEST(LoadTraceMapped, MatchesParseOfReadFile) {
-  const std::string path = temp_path("craysim_mmap_load.trace");
-  save_trace(venus(), path, "mapped load");
-  EXPECT_EQ(load_trace_mapped(path), parse_trace(read_file(path)));
-  EXPECT_EQ(load_trace(path), venus());
-  std::remove(path.c_str());
+// The ingestion table: {text, binary} x {regular file, FIFO, size-0 file} x
+// prefer_mmap. However the bytes arrive, open_record_stream (sniffed and
+// forced), the whole-trace loader, and the reference parse of read_file()
+// must agree. FIFO rows have exactly one writer, so a reader that opened the
+// FIFO twice would block forever.
+enum class Input { kRegular, kFifo, kEmpty };
+
+using IngestRow = std::tuple<bool /*binary*/, Input, bool /*prefer_mmap*/>;
+
+std::string row_name(const IngestRow& row) {
+  const auto [binary, input, prefer_mmap] = row;
+  const char* inputs[] = {"regular", "fifo", "empty"};
+  return std::string(binary ? "binary_" : "text_") + inputs[static_cast<int>(input)] +
+         (prefer_mmap ? "_mmap" : "_stream");
 }
 
-TEST(LoadTraceMapped, EmptyFileYieldsEmptyTrace) {
-  const std::string path = temp_path("craysim_mmap_empty_load.trace");
-  { std::ofstream touch(path); }
-  EXPECT_TRUE(load_trace(path).empty());
-  std::remove(path.c_str());
-}
+/// A reader's outcome: its records, or nullopt when it rejects the bytes
+/// with TraceFormatError.
+using Outcome = std::optional<Trace>;
 
-#ifdef __unix__
-TEST(LoadTraceMapped, FifoFallsBackToChunkedRead) {
-  // Regression: a FIFO cannot be mapped (not S_ISREG); the loader must take
-  // the chunked-read path instead of failing or yielding an empty trace.
-  Trace t(venus().begin(), venus().begin() + 32);
-  const std::string path = temp_path("craysim_mmap_test.fifo");
-  std::remove(path.c_str());
-  ASSERT_EQ(mkfifo(path.c_str(), 0600), 0);
-  EXPECT_FALSE(MappedFile::open(path).has_value());
-  std::thread writer([&] {
-    std::ofstream out(path);
-    out << serialize_trace(t, "fifo fallback");
-  });
-  EXPECT_EQ(load_trace(path), t);
-  writer.join();
-  std::remove(path.c_str());
-}
-
-TEST(OpenRecordStream, FifoIsBufferedAndSniffed) {
-  Trace t(venus().begin(), venus().begin() + 32);
-  const std::string path = temp_path("craysim_stream_open.fifo");
-  std::remove(path.c_str());
-  ASSERT_EQ(mkfifo(path.c_str(), 0600), 0);
-  std::thread writer([&] {
-    std::ofstream out(path);
-    out << serialize_trace(t);
-  });
-  auto source = open_record_stream(path);
-  EXPECT_EQ(drain(*source), t);
-  writer.join();
-  std::remove(path.c_str());
-}
-#endif
-
-TEST(OpenRecordStream, SniffsTextAndBinary) {
-  const std::string text_path = temp_path("craysim_open_text.trace");
-  const std::string bin_path = temp_path("craysim_open_bin.trace");
-  save_trace(venus(), text_path);
-  save_trace_binary(venus(), bin_path);
-  for (const bool prefer_mmap : {true, false}) {
-    StreamOptions options;
-    options.prefer_mmap = prefer_mmap;
-    auto text_source = open_record_stream(text_path, options);
-    EXPECT_EQ(drain(*text_source), venus()) << "text, prefer_mmap=" << prefer_mmap;
-    auto bin_source = open_record_stream(bin_path, options);
-    EXPECT_EQ(drain(*bin_source), venus()) << "binary, prefer_mmap=" << prefer_mmap;
+template <class Read>
+Outcome outcome(Read&& read) {
+  try {
+    return read();
+  } catch (const TraceFormatError&) {
+    return std::nullopt;
   }
-  std::remove(text_path.c_str());
-  std::remove(bin_path.c_str());
 }
+
+std::string encode(const Trace& t, bool binary) {
+  if (!binary) return serialize_trace(t, "ingestion table");
+  std::ostringstream out;
+  BinaryTraceWriter writer(out);
+  for (const auto& record : t) writer.write(record);
+  return out.str();
+}
+
+Trace parse(const std::string& bytes, bool binary) {
+  if (!binary) return parse_trace(bytes);
+  BinaryTraceReader reader(std::as_bytes(std::span(bytes)));
+  return drain(reader);
+}
+
+/// Presents `bytes` at `path` as `input` and runs `read` on it.
+template <class Read>
+Outcome read_through(const std::string& path, Input input, const std::string& bytes,
+                     Read&& read) {
+  std::remove(path.c_str());
+  std::thread writer;
+  if (input == Input::kFifo) {
+    EXPECT_EQ(mkfifo(path.c_str(), 0600), 0);
+    EXPECT_FALSE(MappedFile::open(path).has_value());  // stat only: never opens the FIFO
+    writer = std::thread([&] { std::ofstream(path, std::ios::binary) << bytes; });
+  } else {
+    std::ofstream(path, std::ios::binary) << bytes;
+  }
+  Outcome result = outcome([&] { return read(path); });
+  if (writer.joinable()) writer.join();
+  std::remove(path.c_str());
+  return result;
+}
+
+class Ingestion : public ::testing::TestWithParam<IngestRow> {};
+
+TEST_P(Ingestion, EveryReaderAgrees) {
+  const auto [binary, input, prefer_mmap] = GetParam();
+  const std::string path = temp_path("craysim_ingest_" + row_name(GetParam()));
+  Trace written;
+  if (input == Input::kRegular) written = venus();
+  if (input == Input::kFifo) written.assign(venus().begin(), venus().begin() + 32);
+  const std::string bytes = input == Input::kEmpty ? std::string() : encode(written, binary);
+
+  // Each reader gets its own fresh copy of the input.
+  const auto via = [&](auto&& reader) { return read_through(path, input, bytes, reader); };
+  const auto stream = [](const StreamOptions& options) {
+    return [options](const std::string& p) { return drain(*open_record_stream(p, options)); };
+  };
+
+  const Outcome reference = via([&](const std::string& p) { return parse(read_file(p), binary); });
+  // An empty file holds no frame header, so it is no binary trace at all.
+  EXPECT_EQ(reference, input == Input::kEmpty && binary ? Outcome() : Outcome(written));
+
+  StreamOptions forced;
+  forced.format = binary ? TraceFormat::kBinary : TraceFormat::kText;
+  forced.prefer_mmap = prefer_mmap;
+  EXPECT_EQ(via(stream(forced)), reference);
+  StreamOptions sniffed;
+  sniffed.prefer_mmap = prefer_mmap;
+  EXPECT_EQ(via(stream(sniffed)), written);
+  const auto load = [&](const std::string& p) {
+    return binary ? load_trace_binary(p) : load_trace(p);
+  };
+  EXPECT_EQ(via(load), reference);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Table, Ingestion,
+    ::testing::Combine(::testing::Bool(),
+                       ::testing::Values(Input::kRegular, Input::kFifo, Input::kEmpty),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<IngestRow>& row) { return row_name(row.param); });
 
 TEST(OpenRecordStream, ForcedBinaryOnTextThrows) {
   const std::string path = temp_path("craysim_open_forced.trace");
@@ -150,14 +187,6 @@ TEST(OpenRecordStream, ForcedBinaryOnTextThrows) {
 
 TEST(OpenRecordStream, MissingFileThrows) {
   EXPECT_THROW((void)open_record_stream("/nonexistent/dir/x.trace"), Error);
-}
-
-TEST(OpenRecordStream, SizeZeroFileYieldsNoRecords) {
-  const std::string path = temp_path("craysim_open_empty.trace");
-  { std::ofstream touch(path); }
-  auto source = open_record_stream(path);
-  EXPECT_FALSE(source->next().has_value());
-  std::remove(path.c_str());
 }
 
 }  // namespace
