@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string>
 
 #include "util/error.hpp"
 
@@ -35,8 +36,7 @@ BufferCache::BufferCache(const CacheParams& params, CacheMetrics& metrics)
 }
 
 std::int64_t BufferCache::owned_blocks(std::uint32_t pid) const {
-  const auto it = owned_.find(pid);
-  return it == owned_.end() ? 0 : it->second;
+  return pid < owners_.size() ? owners_[pid].owned : 0;
 }
 
 std::uint32_t BufferCache::find_slot(std::uint64_t key) const {
@@ -55,6 +55,18 @@ void BufferCache::lru_push_back(std::uint32_t slot) {
   }
   lru_tail_ = slot;
   ++clean_count_;
+  if (cap_blocks_per_process_ > 0) {
+    Owner& own = owners_[block.owner];
+    block.own_prev = own.clean_tail;
+    block.own_next = kNil;
+    if (own.clean_tail != kNil) {
+      pool_[own.clean_tail].own_next = slot;
+    } else {
+      own.clean_head = slot;
+    }
+    own.clean_tail = slot;
+    ++own.clean;
+  }
 }
 
 void BufferCache::lru_unlink(std::uint32_t slot) {
@@ -72,6 +84,22 @@ void BufferCache::lru_unlink(std::uint32_t slot) {
   block.lru_prev = kNil;
   block.lru_next = kNil;
   --clean_count_;
+  if (cap_blocks_per_process_ > 0) {
+    Owner& own = owners_[block.owner];
+    if (block.own_prev != kNil) {
+      pool_[block.own_prev].own_next = block.own_next;
+    } else {
+      own.clean_head = block.own_next;
+    }
+    if (block.own_next != kNil) {
+      pool_[block.own_next].own_prev = block.own_prev;
+    } else {
+      own.clean_tail = block.own_prev;
+    }
+    block.own_prev = kNil;
+    block.own_next = kNil;
+    --own.clean;
+  }
 }
 
 void BufferCache::dirty_link(std::uint32_t slot) {
@@ -148,34 +176,25 @@ bool BufferCache::can_allocate(std::int64_t need, std::uint32_t pid) const {
   if (need <= 0) return true;
   if (need > free_blocks() + clean_count_) return false;
   if (cap_blocks_per_process_ > 0) {
-    const std::int64_t own = owned_blocks(pid);
-    if (own + need > cap_blocks_per_process_) {
-      // Over the cap: the process must be able to evict enough of its own
-      // clean blocks to stay within its allowance.
-      std::int64_t own_clean = 0;
-      for (std::uint32_t s = lru_head_; s != kNil; s = pool_[s].lru_next) {
-        if (pool_[s].owner == pid) ++own_clean;
-      }
-      if (own + need - own_clean > cap_blocks_per_process_) return false;
-    }
+    // Over the cap, the process must be able to evict enough of its own
+    // clean blocks to stay within its allowance.
+    const Owner& own = owners_[pid];
+    if (own.owned + need - own.clean > cap_blocks_per_process_) return false;
   }
   return true;
 }
 
 void BufferCache::evict_one(std::uint32_t prefer_owner) {
   assert(lru_head_ != kNil);
+  // The owner's clean-list head is its least-recently-used clean block,
+  // the first of its blocks a walk of the clean LRU would meet.
   std::uint32_t victim = lru_head_;
-  if (prefer_owner != 0) {
-    for (std::uint32_t s = lru_head_; s != kNil; s = pool_[s].lru_next) {
-      if (pool_[s].owner == prefer_owner) {
-        victim = s;
-        break;
-      }
-    }
+  if (prefer_owner != 0 && owners_[prefer_owner].clean_head != kNil) {
+    victim = owners_[prefer_owner].clean_head;
   }
   Block& block = pool_[victim];
   assert(block.live && block.state == State::kClean);
-  --owned_[block.owner];
+  --owners_[block.owner].owned;
   lru_unlink(victim);
   index_.erase(block.key);
   free_slot(victim);
@@ -186,7 +205,7 @@ void BufferCache::evict_one(std::uint32_t prefer_owner) {
 std::uint32_t BufferCache::insert_block(std::uint64_t key, State state, std::uint32_t pid,
                                         std::uint64_t op_id, bool from_readahead) {
   std::uint32_t prefer = 0;
-  if (cap_blocks_per_process_ > 0 && owned_blocks(pid) + 1 > cap_blocks_per_process_) {
+  if (cap_blocks_per_process_ > 0 && owners_[pid].owned + 1 > cap_blocks_per_process_) {
     prefer = pid;  // stay within the allowance by evicting our own blocks
   }
   if (free_blocks() == 0 || prefer != 0) evict_one(prefer);
@@ -214,7 +233,7 @@ std::uint32_t BufferCache::insert_block(std::uint64_t key, State state, std::uin
   }
   index_.emplace(key) = slot;
   ++live_count_;
-  ++owned_[pid];
+  ++owners_[pid].owned;
   return slot;
 }
 
@@ -256,6 +275,7 @@ BufferCache::ReadPlan BufferCache::plan_read(std::uint32_t pid, std::uint32_t fi
   const std::int64_t b1 = end_block_of(offset, length, bs);
   const std::int64_t span = b1 - b0;
   ++metrics_->read_requests;
+  add_owner(pid);
 
   if (span > capacity_blocks_) {
     plan.bypass = true;
@@ -339,6 +359,7 @@ BufferCache::WritePlan BufferCache::plan_write(std::uint32_t pid, std::uint32_t 
   const std::int64_t b1 = end_block_of(offset, length, bs);
   const std::int64_t span = b1 - b0;
   ++metrics_->write_requests;
+  add_owner(pid);
 
   if (span > capacity_blocks_) {
     plan.bypass = true;
@@ -421,6 +442,7 @@ std::optional<BlockRun> BufferCache::try_issue_readahead(std::uint32_t pid,
                                                          const BlockRun& candidate,
                                                          std::uint64_t op_id) {
   if (candidate.count <= 0) return std::nullopt;
+  add_owner(pid);
   // Only prefetch when the whole candidate is absent (the frontier case).
   for (std::int64_t i = 0; i < candidate.count; ++i) {
     if (index_.contains(key_of(candidate.file, candidate.first_block + i))) {
@@ -517,7 +539,7 @@ std::int64_t BufferCache::invalidate_file(std::uint32_t file) {
         // fetch/flush_complete bookkeeping stays simple.
         continue;
     }
-    --owned_[block.owner];
+    --owners_[block.owner].owned;
     index_.erase(block.key);
     free_slot(slot);
     --live_count_;
@@ -525,6 +547,94 @@ std::int64_t BufferCache::invalidate_file(std::uint32_t file) {
   sequential_.erase(file);
   metrics_->writes_cancelled_blocks += cancelled;
   return cancelled;
+}
+
+std::string BufferCache::check_invariants() const {
+  // Any list longer than the pool has a cycle; bounding every walk by the
+  // pool size keeps a corrupted list from hanging the check.
+  const std::size_t bound = pool_.size();
+  auto fail = [](const char* list, const char* what, std::uint32_t slot) {
+    return std::string(list).append(what).append(" at slot ").append(std::to_string(slot));
+  };
+  // One intrusive list: live blocks in `state`, consistent back links, the
+  // recorded tail, the recorded count, and (dirty list) ascending keys.
+  auto walk = [&](const char* list, std::uint32_t head, std::uint32_t tail, State state,
+                  std::int64_t count, bool sorted) -> std::string {
+    std::int64_t n = 0;
+    std::uint32_t prev = kNil;
+    for (std::uint32_t s = head; s != kNil; prev = s, s = pool_[s].lru_next) {
+      if (s >= bound || static_cast<std::size_t>(n) >= bound) return fail(list, " overrun", s);
+      const Block& b = pool_[s];
+      if (!b.live || b.state != state) return fail(list, " holds a block in another state", s);
+      if (b.lru_prev != prev) return fail(list, " back link broken", s);
+      if (sorted && prev != kNil && pool_[prev].key >= b.key) {
+        return fail(list, " not key-sorted", s);
+      }
+      ++n;
+    }
+    if (prev != tail) return std::string(list).append(" tail mismatch");
+    if (n != count) return std::string(list).append(" length != its count");
+    return {};
+  };
+  std::string err = walk("clean list", lru_head_, lru_tail_, State::kClean, clean_count_, false);
+  if (err.empty()) {
+    err = walk("dirty list", dirty_head_, dirty_tail_, State::kDirty, dirty_count_, true);
+  }
+  if (!err.empty()) return err;
+
+  // Index <-> pool: every live block is indexed at its own slot, and the
+  // index holds nothing else (equal sizes, and distinct live keys cannot
+  // share one index entry).
+  std::int64_t live = 0;
+  for (std::uint32_t s = 0; s < pool_.size(); ++s) {
+    if (!pool_[s].live) continue;
+    ++live;
+    if (find_slot(pool_[s].key) != s) return fail("index", " misses a live block", s);
+  }
+  if (live != live_count_) return "live blocks != live_count_";
+  if (index_.size() != static_cast<std::size_t>(live_count_)) return "index size != live_count_";
+
+  // Free list: dead slots only, and free + live covers the pool.
+  std::size_t free = 0;
+  for (std::uint32_t s = free_head_; s != kNil; s = pool_[s].lru_next) {
+    if (s >= bound || free >= bound) return fail("free list", " overrun", s);
+    if (pool_[s].live) return fail("free list", " holds a live block", s);
+    ++free;
+  }
+  if (free + static_cast<std::size_t>(live_count_) != pool_.size()) {
+    return "free + live_count_ != pool size";
+  }
+
+  // Per-owner clean lists (capped only): walking the clean LRU, each block
+  // must be the next one on its owner's list, so each list holds exactly
+  // that owner's clean blocks in LRU order; its length is its clean count.
+  //
+  // Sum(owned) == live_count_ with every count >= 0 is deliberately not
+  // checked: make_dirty and the write-through path reassign block.owner
+  // without moving the owned counts, a known bug (a shared-file script
+  // reaches owned_blocks(1) == -3), pinned by the recorded-script digest
+  // until it is fixed together with can_allocate.
+  if (cap_blocks_per_process_ > 0) {
+    std::vector<std::uint32_t> cursor(owners_.size());
+    std::vector<std::uint32_t> last(owners_.size(), kNil);
+    std::vector<std::int64_t> seen(owners_.size(), 0);
+    for (std::size_t pid = 0; pid < owners_.size(); ++pid) cursor[pid] = owners_[pid].clean_head;
+    for (std::uint32_t s = lru_head_; s != kNil; s = pool_[s].lru_next) {
+      const Block& b = pool_[s];
+      if (b.owner >= owners_.size()) return fail("clean list", " holds an unknown owner", s);
+      if (cursor[b.owner] != s) return fail("owner clean list", " out of LRU order", s);
+      if (b.own_prev != last[b.owner]) return fail("owner clean list", " back link broken", s);
+      cursor[b.owner] = b.own_next;
+      last[b.owner] = s;
+      ++seen[b.owner];
+    }
+    for (std::size_t pid = 0; pid < owners_.size(); ++pid) {
+      if (cursor[pid] != kNil) return "owner clean list holds a non-clean block";
+      if (owners_[pid].clean_tail != last[pid]) return "owner clean list tail mismatch";
+      if (seen[pid] != owners_[pid].clean) return "owner clean list length != clean count";
+    }
+  }
+  return {};
 }
 
 bool BufferCache::over_watermark() const {

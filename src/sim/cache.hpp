@@ -16,10 +16,21 @@
 // dirtying an appending write is pointer surgery with zero allocation, where
 // the seed implementation paid an unordered_map node plus a std::list splice
 // per touch and a std::set node per dirtied block.
+//
+// Under a per-process cap, a second pair of links (own_prev/own_next)
+// threads each owner's clean blocks into a per-owner list, linked and
+// unlinked together with the clean LRU, so it holds the same blocks in the
+// same relative order. Its head is the owner's least-recently-used clean
+// block — the owner-preferred victim — and its length is the owner's
+// evictable count, both O(1). A block's owner only changes while it is off
+// the clean list, so the lists never need re-threading. Per-owner records
+// (owned count and that list) live in a pid-indexed vector; pids are small
+// and dense.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -114,6 +125,11 @@ class BufferCache {
   [[nodiscard]] std::int64_t resident_blocks() const { return live_count_; }
   [[nodiscard]] std::int64_t owned_blocks(std::uint32_t pid) const;
 
+  /// Walks every list and the index and checks the bookkeeping against the
+  /// counters. Returns an empty string when consistent, else a description
+  /// of the first violation. O(pool size): meant for tests, not hot paths.
+  [[nodiscard]] std::string check_invariants() const;
+
  private:
   enum class State : std::uint8_t { kClean, kDirty, kFetching, kFlushing };
 
@@ -130,6 +146,9 @@ class BufferCache {
     // free-list node via lru_next when dead.
     std::uint32_t lru_prev = kNil;
     std::uint32_t lru_next = kNil;
+    // Per-owner clean-list links, maintained only under a per-process cap.
+    std::uint32_t own_prev = kNil;
+    std::uint32_t own_next = kNil;
     State state = State::kClean;
     bool live = false;
     bool from_readahead = false;   ///< fetched by prefetch, not yet referenced
@@ -157,10 +176,17 @@ class BufferCache {
   [[nodiscard]] std::uint32_t find_slot(std::uint64_t key) const;
   void touch_clean(Block& block);
   void make_dirty(Block& block, std::uint32_t pid);
-  /// Appends a Clean block at the MRU end of the intrusive list.
+  /// Appends a Clean block at the MRU end of the intrusive list (and of its
+  /// owner's clean list when capped).
   void lru_push_back(std::uint32_t slot);
-  /// Unlinks a Clean block from the intrusive list.
+  /// Unlinks a Clean block from the intrusive list (and from its owner's
+  /// clean list when capped).
   void lru_unlink(std::uint32_t slot);
+  /// Makes owners_[pid] addressable; every pid a block can be charged to
+  /// passes through here on entry to a plan/readahead call.
+  void add_owner(std::uint32_t pid) {
+    if (pid >= owners_.size()) owners_.resize(std::size_t{pid} + 1);
+  }
   /// Inserts a Dirty block into the intrusive dirty list at its ascending
   /// key position (sequential writes append in O(1) via the tail/hint
   /// checks) and bumps dirty_count_.
@@ -193,7 +219,14 @@ class BufferCache {
   std::uint32_t dirty_tail_ = kNil;
   std::uint32_t dirty_hint_ = kNil;
   std::int64_t dirty_count_ = 0;
-  std::unordered_map<std::uint32_t, std::int64_t> owned_;
+  struct Owner {
+    std::int64_t owned = 0;           ///< blocks charged to this pid, any state
+    // Clean blocks of this owner in LRU order (maintained only when capped).
+    std::uint32_t clean_head = kNil;
+    std::uint32_t clean_tail = kNil;
+    std::int64_t clean = 0;
+  };
+  std::vector<Owner> owners_;            ///< indexed by pid
   // Per-file sequential detector for read-ahead.
   struct SeqState {
     Bytes last_end = -1;

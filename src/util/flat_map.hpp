@@ -2,16 +2,18 @@
 // paths (buffer-cache block index, in-flight I/O table).
 //
 // Compared to std::unordered_map this stores slots in one flat array (no
-// per-node allocation), probes linearly (cache-friendly), and reuses
-// tombstoned slots, so a steady insert/erase workload — exactly what the
-// cache and the in-flight table do millions of times per run — allocates
-// only when the live population grows past the high-water mark.
+// per-node allocation) and probes linearly (cache-friendly). Erase uses
+// backward-shift deletion: the entries after the hole that may legally move
+// into it are shifted back, so the table never holds tombstones and a
+// steady insert/erase workload — exactly what the cache and the in-flight
+// table do millions of times per run — allocates only when the live
+// population grows past the high-water mark.
 //
 // Contract: pointers returned by find()/emplace() are invalidated by any
-// subsequent emplace() (rehash) — use them immediately, don't hold them.
+// later emplace() (rehash) or erase() (backward shift moves other entries)
+// — use them immediately, don't hold them.
 #pragma once
 
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -45,11 +47,11 @@ class FlatMap64 {
   [[nodiscard]] V* find(std::uint64_t key) {
     if (slots_.empty()) return nullptr;
     const std::size_t mask = slots_.size() - 1;
-    std::size_t i = static_cast<std::size_t>(mix64(key)) & mask;
+    std::size_t i = home(key, mask);
     for (;;) {
-      const Slot& slot = slots_[i];
+      Slot& slot = slots_[i];
       if (slot.state == State::kEmpty) return nullptr;
-      if (slot.state == State::kFull && slot.key == key) return &slots_[i].value;
+      if (slot.key == key) return &slot.value;
       i = (i + 1) & mask;
     }
   }
@@ -60,25 +62,21 @@ class FlatMap64 {
 
   /// Inserts `key` if absent (value-initialized) and returns its value slot.
   V& emplace(std::uint64_t key) {
-    if (slots_.empty() || (size_ + tombstones_ + 1) * 4 > slots_.size() * 3) {
-      grow();
+    if (slots_.empty() || (size_ + 1) * 4 > slots_.size() * 3) {
+      rehash(slots_.empty() ? kMinCapacity : slots_.size() * 2);
     }
     const std::size_t mask = slots_.size() - 1;
-    std::size_t i = static_cast<std::size_t>(mix64(key)) & mask;
-    std::size_t first_tombstone = kNone;
+    std::size_t i = home(key, mask);
     for (;;) {
       Slot& slot = slots_[i];
-      if (slot.state == State::kFull && slot.key == key) return slot.value;
       if (slot.state == State::kEmpty) {
-        Slot& dest = first_tombstone == kNone ? slot : slots_[first_tombstone];
-        if (first_tombstone != kNone) --tombstones_;
-        dest.state = State::kFull;
-        dest.key = key;
-        dest.value = V{};
+        slot.state = State::kFull;
+        slot.key = key;
+        slot.value = V{};
         ++size_;
-        return dest.value;
+        return slot.value;
       }
-      if (slot.state == State::kTombstone && first_tombstone == kNone) first_tombstone = i;
+      if (slot.key == key) return slot.value;
       i = (i + 1) & mask;
     }
   }
@@ -86,64 +84,52 @@ class FlatMap64 {
   bool erase(std::uint64_t key) {
     if (slots_.empty()) return false;
     const std::size_t mask = slots_.size() - 1;
-    std::size_t i = static_cast<std::size_t>(mix64(key)) & mask;
+    std::size_t hole = home(key, mask);
     for (;;) {
-      Slot& slot = slots_[i];
+      const Slot& slot = slots_[hole];
       if (slot.state == State::kEmpty) return false;
-      if (slot.state == State::kFull && slot.key == key) {
-        slot.state = State::kTombstone;
-        slot.value = V{};
-        --size_;
-        ++tombstones_;
-        return true;
+      if (slot.key == key) break;
+      hole = (hole + 1) & mask;
+    }
+    // Backward shift: walk the cluster after the hole and move back every
+    // entry whose home does not lie cyclically in (hole, j] — that entry's
+    // probe sequence passes through the hole, so it may fill it. The moved
+    // entry's old slot becomes the new hole; the cluster's end closes it.
+    for (std::size_t j = (hole + 1) & mask; slots_[j].state == State::kFull; j = (j + 1) & mask) {
+      const std::size_t dist_home = (j - home(slots_[j].key, mask)) & mask;
+      const std::size_t dist_hole = (j - hole) & mask;
+      if (dist_home >= dist_hole) {
+        slots_[hole].key = slots_[j].key;
+        slots_[hole].value = std::move(slots_[j].value);
+        hole = j;
       }
-      i = (i + 1) & mask;
     }
-  }
-
-  void clear() {
-    for (Slot& slot : slots_) {
-      slot.state = State::kEmpty;
-      slot.value = V{};
-    }
-    size_ = 0;
-    tombstones_ = 0;
-  }
-
-  /// Visits every live entry as fn(key, value&). Must not mutate the map.
-  template <typename Fn>
-  void for_each(Fn&& fn) {
-    for (Slot& slot : slots_) {
-      if (slot.state == State::kFull) fn(slot.key, slot.value);
-    }
+    slots_[hole].state = State::kEmpty;
+    slots_[hole].value = V{};
+    --size_;
+    return true;
   }
 
  private:
-  enum class State : std::uint8_t { kEmpty, kFull, kTombstone };
+  enum class State : std::uint8_t { kEmpty, kFull };
   struct Slot {
     std::uint64_t key = 0;
     V value{};
     State state = State::kEmpty;
   };
   static constexpr std::size_t kMinCapacity = 16;
-  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
-  void grow() {
-    // Double only when the live population demands it; a tombstone-heavy
-    // table rehashes at the same size, recycling the dead slots.
-    std::size_t cap = slots_.empty() ? kMinCapacity : slots_.size();
-    if ((size_ + 1) * 2 > cap) cap <<= 1;
-    rehash(cap);
+  static std::size_t home(std::uint64_t key, std::size_t mask) {
+    return static_cast<std::size_t>(mix64(key)) & mask;
   }
 
   void rehash(std::size_t new_capacity) {
     std::vector<Slot> old = std::move(slots_);
     slots_.assign(new_capacity, Slot{});
-    tombstones_ = 0;
     const std::size_t mask = new_capacity - 1;
     for (Slot& slot : old) {
       if (slot.state != State::kFull) continue;
-      std::size_t i = static_cast<std::size_t>(mix64(slot.key)) & mask;
+      std::size_t i = home(slot.key, mask);
       while (slots_[i].state == State::kFull) i = (i + 1) & mask;
       slots_[i].state = State::kFull;
       slots_[i].key = slot.key;
@@ -153,7 +139,6 @@ class FlatMap64 {
 
   std::vector<Slot> slots_;
   std::size_t size_ = 0;
-  std::size_t tombstones_ = 0;
 };
 
 }  // namespace craysim::util

@@ -105,6 +105,65 @@ TEST(CacheLruRegressionTest, DirtyBlocksAreNotEvictable) {
   EXPECT_TRUE(big.space_wait);
 }
 
+/// Reads one block as `pid` and reports whether it was already resident
+/// (a full hit). A miss inserts the block but, with free space and `pid`
+/// under its cap, evicts nothing — so probing never moves a victim.
+bool probe_resident(BufferCache& cache, const CacheMetrics& metrics, std::uint32_t pid,
+                    std::uint32_t file, std::int64_t block, std::uint64_t op) {
+  const std::int64_t hits_before = metrics.read_full_hits;
+  read_block(cache, pid, file, block, op);
+  return metrics.read_full_hits == hits_before + 1;
+}
+
+TEST(CacheLruRegressionTest, CappedOwnerEvictsItsOwnOldestCleanBlocksFirst) {
+  CacheParams params = small_cache(16);
+  params.per_process_cap = 4 * params.block_size;
+  CacheMetrics metrics;
+  BufferCache cache(params, metrics);
+
+  // Interleave two owners: pid 1 reads file 1, pid 2 reads file 2, so the
+  // clean LRU is 1:0 2:0 1:1 2:1 1:2 2:2 1:3 2:3. Both sit at the cap.
+  for (std::int64_t b = 0; b < 4; ++b) {
+    read_block(cache, 1, 1, b, static_cast<std::uint64_t>(100 + b));
+    read_block(cache, 2, 2, b, static_cast<std::uint64_t>(110 + b));
+  }
+  // pid 1 touches its blocks 0 and 2: the LRU becomes
+  // 2:0 1:1 2:1 2:2 1:3 2:3 1:0 1:2, so pid 1's own order is 1, 3, 0, 2 and
+  // the global LRU head belongs to pid 2.
+  read_block(cache, 1, 1, 0, 120);
+  read_block(cache, 1, 1, 2, 121);
+  ASSERT_EQ(cache.check_invariants(), "");
+  EXPECT_EQ(metrics.evictions, 0);
+  EXPECT_EQ(cache.owned_blocks(1), 4);
+  EXPECT_EQ(cache.owned_blocks(2), 4);
+
+  // Each read past the cap evicts exactly one block, and the probe by pid 3
+  // (which stays under its cap: it owns at most 3 blocks) shows it is pid
+  // 1's oldest clean block, in pid 1's LRU order 1, 3, 0.
+  const std::int64_t expected_victim[3] = {1, 3, 0};
+  for (int i = 0; i < 3; ++i) {
+    read_block(cache, 1, 1, 4 + i, static_cast<std::uint64_t>(200 + i));
+    ASSERT_EQ(cache.check_invariants(), "") << "insert " << i;
+    EXPECT_EQ(metrics.evictions, i + 1);
+    EXPECT_EQ(cache.owned_blocks(1), 4);
+    EXPECT_FALSE(probe_resident(cache, metrics, 3, 1, expected_victim[i],
+                                static_cast<std::uint64_t>(300 + i)))
+        << "block " << expected_victim[i] << " of pid 1 should have been evicted";
+  }
+
+  // None of pid 2's blocks went, and pid 1 kept its newest: 2, 4, 5, 6.
+  for (std::int64_t b = 0; b < 4; ++b) {
+    EXPECT_TRUE(probe_resident(cache, metrics, 3, 2, b, static_cast<std::uint64_t>(400 + b)))
+        << "pid 2 block " << b;
+  }
+  for (const std::int64_t b : {2, 4, 5, 6}) {
+    EXPECT_TRUE(probe_resident(cache, metrics, 3, 1, b, static_cast<std::uint64_t>(500 + b)))
+        << "pid 1 block " << b;
+  }
+  EXPECT_EQ(metrics.evictions, 3);
+  EXPECT_EQ(cache.check_invariants(), "");
+}
+
 // ---------------------------------------------------------------------------
 // Recorded-script digest: every observable output of a 6000-step mixed
 // workload, digested. The constants were captured from the seed
@@ -219,6 +278,7 @@ TEST(CacheLruRegressionTest, RecordedScriptDigestMatchesSeed) {
       digest.number(cache.invalidate_file(file));
     }
 
+    ASSERT_EQ(cache.check_invariants(), "") << "step " << step;
     digest.number(cache.dirty_block_count());
     digest.number(cache.resident_blocks());
     digest.number(cache.owned_blocks(pid));

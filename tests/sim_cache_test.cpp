@@ -263,13 +263,17 @@ TEST_F(CacheTest, PerProcessCapForcesOwnEviction) {
   auto cache = make(p);
   for (std::uint32_t b = 0; b < 4; ++b) {
     const auto plan = cache.plan_read(1, 10, Bytes{b} * 4096, 4096, 100 + b);
+    ASSERT_EQ(cache.check_invariants(), "");
     cache.fetch_complete(plan.fetch_runs[0]);
+    ASSERT_EQ(cache.check_invariants(), "");
   }
   EXPECT_EQ(cache.owned_blocks(1), 4);
   // A fifth block evicts one of the process's own, not global space.
   const auto plan = cache.plan_read(1, 10, 4 * 4096, 4096, 200);
+  ASSERT_EQ(cache.check_invariants(), "");
   ASSERT_FALSE(plan.space_wait);
   cache.fetch_complete(plan.fetch_runs[0]);
+  ASSERT_EQ(cache.check_invariants(), "");
   EXPECT_EQ(cache.owned_blocks(1), 4);
   EXPECT_EQ(metrics_.evictions, 1);
 }
@@ -279,10 +283,13 @@ TEST_F(CacheTest, PerProcessCapBlocksWhenOwnBlocksUnevictable) {
   p.per_process_cap = 2 * p.block_size;
   auto cache = make(p);
   (void)cache.plan_write(1, 10, 0, 2 * 4096, 100, true);  // 2 dirty (unevictable)
+  ASSERT_EQ(cache.check_invariants(), "");
   const auto plan = cache.plan_read(1, 10, 4 * 4096, 4096, 200);
+  ASSERT_EQ(cache.check_invariants(), "");
   EXPECT_TRUE(plan.space_wait);
   // Another process is unaffected by pid 1's cap.
   EXPECT_FALSE(cache.plan_read(2, 20, 0, 4096, 300).space_wait);
+  ASSERT_EQ(cache.check_invariants(), "");
 }
 
 TEST_F(CacheTest, DelayedWriteAgeFiltersYoungBlocks) {

@@ -2,10 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "util/ascii_plot.hpp"
 #include "util/error.hpp"
+#include "util/flat_map.hpp"
 #include "util/histogram.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -15,6 +18,46 @@
 
 namespace craysim {
 namespace {
+
+// ----------------------------------------------------------- FlatMap64 ---
+
+TEST(FlatMap64, ChurnMatchesUnorderedMapAcrossWrappedClusters) {
+  // A fresh table has 16 slots and doubles on the 13th live entry, so at
+  // most 12 live keys keep it at 16. Every key's home slot is 13, 14 or 15:
+  // clusters start at the end of the table and wrap past slot 0, which is
+  // where backward-shift deletion's cyclic distance arithmetic can go wrong.
+  constexpr std::size_t kSlots = 16;
+  constexpr std::size_t kMaxLive = 12;
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t k = 1; keys.size() < 24; ++k) {
+    if ((util::mix64(k) & (kSlots - 1)) >= 13) keys.push_back(k);
+  }
+
+  util::FlatMap64<std::uint64_t> map;
+  std::unordered_map<std::uint64_t, std::uint64_t> ref;
+  Rng rng(2024);
+  for (int step = 0; step < 20'000; ++step) {
+    const std::uint64_t key = keys[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(keys.size()) - 1))];
+    const std::int64_t op = rng.uniform_int(0, 2);
+    if (op == 0 && (ref.count(key) != 0 || ref.size() < kMaxLive)) {
+      const std::uint64_t value = rng.next_u64();
+      map.emplace(key) = value;
+      ref[key] = value;
+    } else if (op == 1) {
+      EXPECT_EQ(map.erase(key), ref.erase(key) == 1) << "step " << step;
+    }
+    ASSERT_EQ(map.size(), ref.size()) << "step " << step;
+    for (const std::uint64_t k : keys) {
+      const std::uint64_t* found = map.find(k);
+      const auto it = ref.find(k);
+      ASSERT_EQ(found != nullptr, it != ref.end()) << "step " << step << " key " << k;
+      if (found != nullptr) {
+        ASSERT_EQ(*found, it->second) << "step " << step << " key " << k;
+      }
+    }
+  }
+}
 
 // ---------------------------------------------------------------- Rng -----
 
