@@ -85,93 +85,6 @@ inline std::string take_json_arg(int& argc, char** argv) {
   return take_value_arg(argc, argv, "--json");
 }
 
-/// Telemetry destinations shared by the instrumented benches and examples:
-/// "--metrics <path>" names a metrics-snapshot JSONL file, "--perfetto
-/// <path>" a single-point Chrome trace-event JSON file, "--perfetto-sweep
-/// <path>" a merged multi-point trace (every sweep point as its own labeled
-/// Perfetto process group), "--timeseries <path>" the counter samples as
-/// JSONL, and "--counter-interval <ms>" the sim-time sampling period. Any
-/// may be absent (empty path = that sink is off). Parsing only — the caller
-/// owns the obs:: objects (see SweepObserver in sweep_obs.hpp for the
-/// sweep-scale ones).
-struct ObsArgs {
-  std::string metrics_path;
-  std::string perfetto_path;
-  std::string perfetto_sweep_path;
-  std::string timeseries_path;
-  double counter_interval_ms = 0.0;  ///< 0 = SweepObserver's default
-  std::string listen_addr;  ///< "--listen host:port": live /metrics + /status server
-  std::string attribution_path;  ///< "--attribution <path>": per-point attribution JSONL
-  std::size_t attr_top = 10;     ///< "--top <n>": rows per hotspot table
-
-  /// Did the user ask for any per-sweep-point recording?
-  [[nodiscard]] bool sweep_telemetry() const {
-    return !perfetto_sweep_path.empty() || !timeseries_path.empty();
-  }
-
-  /// Did the user ask for latency attribution (--attribution, or a live
-  /// server whose /attribution endpoint should have data)?
-  [[nodiscard]] bool attribution() const {
-    return !attribution_path.empty() || !listen_addr.empty();
-  }
-
-  [[nodiscard]] static ObsArgs take(int& argc, char** argv) {
-    // Every telemetered bench passes through here, so this is the one spot
-    // to arm the interrupted-run flush behavior.
-    install_signal_flush_hooks();
-    ObsArgs args;
-    args.metrics_path = take_value_arg(argc, argv, "--metrics");
-    args.perfetto_path = take_value_arg(argc, argv, "--perfetto");
-    args.perfetto_sweep_path = take_value_arg(argc, argv, "--perfetto-sweep");
-    args.timeseries_path = take_value_arg(argc, argv, "--timeseries");
-    args.listen_addr = take_value_arg(argc, argv, "--listen");
-    args.attribution_path = take_value_arg(argc, argv, "--attribution");
-    const std::string top = take_value_arg(argc, argv, "--top");
-    if (!top.empty()) args.attr_top = static_cast<std::size_t>(std::stoul(top));
-    const std::string interval = take_value_arg(argc, argv, "--counter-interval");
-    if (!interval.empty()) args.counter_interval_ms = std::stod(interval);
-    return args;
-  }
-};
-
-/// Resilience knobs shared by every sweep bench (docs/RESILIENCE.md):
-/// "--journal <path>" checkpoints each settled point and resumes a partial
-/// sweep, "--deadline <seconds>" bounds each point with a cooperative
-/// deadline, "--max-attempts <n>" retries failed/timed-out points with
-/// deterministic backoff, and "--chaos-fail <rate>" / "--chaos-hang <rate>"
-/// / "--chaos-seed <n>" inject synthetic point failures or deadline-length
-/// hangs (drills; a hang requires "--deadline"). All absent by default, in
-/// which case the runner takes its legacy bit-identical path.
-struct ResilienceArgs {
-  std::string journal_path;
-  double deadline_s = 0.0;
-  int max_attempts = 0;  ///< 0 = runner default (no retries)
-  double chaos_fail_rate = 0.0;
-  double chaos_hang_rate = 0.0;
-  std::uint64_t chaos_seed = 0;  ///< 0 = plan default
-
-  [[nodiscard]] bool any() const {
-    return !journal_path.empty() || deadline_s > 0.0 || max_attempts > 0 ||
-           chaos_fail_rate > 0.0 || chaos_hang_rate > 0.0;
-  }
-
-  [[nodiscard]] static ResilienceArgs take(int& argc, char** argv) {
-    ResilienceArgs args;
-    args.journal_path = take_value_arg(argc, argv, "--journal");
-    const std::string deadline = take_value_arg(argc, argv, "--deadline");
-    if (!deadline.empty()) args.deadline_s = std::stod(deadline);
-    const std::string attempts = take_value_arg(argc, argv, "--max-attempts");
-    if (!attempts.empty()) args.max_attempts = std::stoi(attempts);
-    const std::string fail = take_value_arg(argc, argv, "--chaos-fail");
-    if (!fail.empty()) args.chaos_fail_rate = std::stod(fail);
-    const std::string hang = take_value_arg(argc, argv, "--chaos-hang");
-    if (!hang.empty()) args.chaos_hang_rate = std::stod(hang);
-    const std::string seed = take_value_arg(argc, argv, "--chaos-seed");
-    if (!seed.empty()) args.chaos_seed = std::stoull(seed);
-    return args;
-  }
-};
-
 /// Replaces-or-appends one named section of a flat metrics JSON file, e.g.
 ///   { "codec": { "BM_Decode_ns_per_op": 1234.5 }, "cache": { ... } }
 /// Different benches each own one section of the same file (BENCH_micro.json)

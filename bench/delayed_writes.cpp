@@ -8,12 +8,15 @@
 //
 // Part 1 recreates the workstation case with a compiler-like temp-file
 // workload driven straight at the buffer cache. Part 2 runs venus in a
-// small main-memory cache under increasing delayed-write ages.
+// small main-memory cache under increasing delayed-write ages, one sweep
+// point per age (flags: see bench::PaperSweep in sweep_obs.hpp).
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "sim/cache.hpp"
-#include "sim/simulator.hpp"
+#include "sweep_obs.hpp"
 #include "util/table.hpp"
 #include "workload/profiles.hpp"
 
@@ -70,17 +73,16 @@ double temp_file_absorption(Ticks delay, Ticks lifetime, int sync_every_steps) {
   return 1.0 - static_cast<double>(flushed_blocks) / static_cast<double>(written_blocks);
 }
 
-Bytes venus_disk_writes(Ticks delay) {
+sim::SimParams venus_params(std::int64_t delay_s) {
   sim::SimParams params = sim::SimParams::paper_main_memory(Bytes{16} * kMB);
-  params.cache.delayed_write_age = delay;
-  sim::Simulator simulator(params);
-  simulator.add_app(workload::make_profile(workload::AppId::kVenus, 11));
-  return simulator.run().disk.bytes_written;
+  params.cache.delayed_write_age = Ticks::from_seconds(static_cast<double>(delay_s));
+  return params;
 }
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::PaperSweep sweep(argc, argv);
   bench::heading("Sections 2.1/6.2: what delayed writes buy — workstations vs supercomputers");
 
   std::printf("Part 1: compiler-style temp files (256 KB each, deleted 10 s after creation),\n"
@@ -96,13 +98,18 @@ int main() {
 
   std::printf("Part 2: venus in a 16 MB main-memory cache — disk write traffic vs delay:\n\n");
   TextTable t2({"delay s", "bytes written to disk MB"});
-  const Bytes w0 = venus_disk_writes(Ticks::zero());
-  const Bytes w5 = venus_disk_writes(Ticks::from_seconds(5));
-  const Bytes w30 = venus_disk_writes(Ticks::from_seconds(30));
-  t2.row().integer(0).num(static_cast<double>(w0) / 1e6, 0);
-  t2.row().integer(5).num(static_cast<double>(w5) / 1e6, 0);
-  t2.row().integer(30).num(static_cast<double>(w30) / 1e6, 0);
+  const std::vector<std::int64_t> delays_s = {0, 5, 30};
+  const auto results = sweep.run(
+      delays_s, [](std::int64_t s) { return "venus, delay " + std::to_string(s) + " s"; },
+      venus_params,
+      [](const sim::SimParams& p) { return bench::run_apps(p, {workload::AppId::kVenus}); });
+  for (std::size_t i = 0; i < delays_s.size(); ++i) {
+    const auto mb = static_cast<double>(results[i].disk.bytes_written) / 1e6;
+    t2.row().integer(delays_s[i]).num(mb, 0);
+  }
   std::printf("%s\n", t2.render().c_str());
+  const Bytes w0 = results[0].disk.bytes_written;
+  const Bytes w30 = results[2].disk.bytes_written;
 
   bench::check(absorbed_30 > 0.90,
                "workstation case: a 30 s delay absorbs nearly all temp-file writes");
@@ -112,5 +119,5 @@ int main() {
   bench::check(change < 0.25,
                "supercomputer case: delaying writes barely changes disk traffic (data "
                "must go to disk anyway)");
-  return 0;
+  return sweep.finish(results);
 }

@@ -8,27 +8,18 @@
 // nonzero if recovery accounting ever disagrees with the injected schedule.
 //
 // Both sweeps fan out across the experiment runner; the drop-rate points all
-// read one shared, immutable copy of the synthesized venus trace.
-//
-// Telemetry ("--metrics", "--perfetto", "--perfetto-sweep", "--timeseries",
-// "--counter-interval <ms>") instruments the disk-fault *simulator* sweep;
-// the tracer drop-rate sweep has no simulator and stays untelemetered. The
-// resilience flags ("--journal", "--deadline", "--max-attempts",
-// "--chaos-fail", "--chaos-seed"; docs/RESILIENCE.md) likewise apply to the
-// simulator sweep only — it is the one whose points are slow enough to be
-// worth checkpointing — and route it through its own resilient runner.
+// read one shared, immutable copy of the synthesized venus trace. The sweep
+// driver's flags (bench::PaperSweep in sweep_obs.hpp: telemetry, resilience,
+// live plane) apply to the disk-fault simulator sweep only; the tracer
+// drop-rate sweep has no simulator and runs on a plain runner.
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <numeric>
-#include <optional>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "faults/fault.hpp"
-#include "obs/metrics.hpp"
 #include "runner/runner.hpp"
-#include "sim/simulator.hpp"
 #include "sweep_obs.hpp"
 #include "trace/stats.hpp"
 #include "tracer/pipeline.hpp"
@@ -61,14 +52,6 @@ craysim::sim::SimParams disk_point_params(double rate) {
   return params;
 }
 
-craysim::sim::SimResult run_disk_with(const craysim::sim::SimParams& params) {
-  using namespace craysim;
-  sim::Simulator sim(params);
-  sim.add_app(workload::make_profile(workload::AppId::kVenus, 11));
-  sim.add_app(workload::make_profile(workload::AppId::kLes, 22));
-  return sim.run();
-}
-
 std::string disk_point_label(double rate) {
   char label[48];
   std::snprintf(label, sizeof label, "disk err %g%%", 100.0 * rate);
@@ -79,8 +62,7 @@ std::string disk_point_label(double rate) {
 
 int main(int argc, char** argv) {
   using namespace craysim;
-  const bench::ObsArgs obs_args = bench::ObsArgs::take(argc, argv);
-  const bench::ResilienceArgs res_args = bench::ResilienceArgs::take(argc, argv);
+  bench::PaperSweep sweep(argc, argv);
   bench::heading("Fault sweep: lossy trace recovery fidelity");
 
   const trace::Trace original =
@@ -90,19 +72,9 @@ int main(int argc, char** argv) {
   options.entries_per_packet = 16;  // small packets so drops bite at low rates
 
   const std::vector<double> drop_rates = {0.0, 0.01, 0.02, 0.05, 0.10, 0.20};
-  // The observer watches the simulator sweep further down, but it has to
-  // exist before whichever runner serves the live plane (its /attribution
-  // handler is registered at runner construction).
-  const std::vector<double> error_rates = {0.0, 0.01, 0.05, 0.10};
-  bench::SweepObserver sweep_obs(obs_args, error_rates.size());
-  sweep_obs.arm_flight(res_args);
-  runner::RunnerOptions runner_options = runner::RunnerOptions::from_env();
-  runner_options.collect_telemetry = !obs_args.metrics_path.empty();
-  // With resilience flags the simulator sweep below gets its own pool, and
-  // the live plane (one port) belongs to it; otherwise this shared pool
-  // serves both sweeps.
-  if (!res_args.any()) bench::apply_telemetry(obs_args, runner_options, nullptr, sweep_obs);
-  runner::ExperimentRunner pool(runner_options);
+  // The drop-rate sweep has no simulator, so it runs on a plain runner; the
+  // driver (telemetry, resilience, live plane) serves the simulator sweep.
+  runner::ExperimentRunner pool;
   const std::vector<DropResult> drops = pool.run(drop_rates, [&](double rate) {
     faults::FaultPlan plan;
     plan.packet.drop_rate = rate;
@@ -158,27 +130,11 @@ int main(int argc, char** argv) {
   std::printf("%s", ascii_plot(kept_pct, plot).c_str());
 
   bench::heading("Fault sweep: simulator under injected disk failures");
-  std::vector<std::size_t> indices(error_rates.size());
-  std::iota(indices.begin(), indices.end(), std::size_t{0});
-  // The simulator sweep gets its own resilient runner only when a flag asks
-  // for one; otherwise it reuses `pool` and the whole bench is byte-identical
-  // to the pre-resilience behavior.
-  std::optional<runner::ExperimentRunner> resilient_pool;
-  if (res_args.any()) {
-    runner::RunnerOptions sim_options = runner_options;
-    bench::apply_resilience(res_args, sim_options);
-    bench::apply_telemetry(obs_args, sim_options, nullptr, sweep_obs);
-    resilient_pool.emplace(sim_options);
-  }
-  runner::ExperimentRunner& sim_pool = resilient_pool ? *resilient_pool : pool;
-  const bench::SimResultCodec codec(
-      [&](std::size_t i) { return disk_point_label(error_rates[i]); });
-  const std::vector<sim::SimResult> disk_results =
-      bench::run_sweep(sim_pool, res_args, indices, [&](std::size_t i) {
-        sim::SimParams params = disk_point_params(error_rates[i]);
-        sweep_obs.instrument(i, disk_point_label(error_rates[i]), params);
-        return run_disk_with(params);
-      }, codec, &sweep_obs);
+  const std::vector<double> error_rates = {0.0, 0.01, 0.05, 0.10};
+  const std::vector<sim::SimResult> disk_results = sweep.run(
+      error_rates, disk_point_label, disk_point_params, [](const sim::SimParams& p) {
+        return bench::run_apps(p, {workload::AppId::kVenus, workload::AppId::kLes});
+      });
   TextTable disks({"transient rate %", "wall s", "slowdown %", "transients", "retries",
                    "backoff s", "disks lost"});
   const double base_wall = disk_results[0].total_wall.seconds();
@@ -202,20 +158,7 @@ int main(int argc, char** argv) {
   bench::check(fidelity_ok, "summary statistics stay within 10% of lossless up to 5% drop");
   bench::check(survived_ok, "the simulator completes every run, even degraded");
 
-  if (!sweep_obs.finish()) return 1;
-  if (!bench::write_point_trace(obs_args, disk_point_params(0.05),
-                                [](const sim::SimParams& p) { (void)run_disk_with(p); })) {
-    return 1;
-  }
-  if (!obs_args.metrics_path.empty()) {
-    obs::MetricsRegistry registry;
-    disk_results.back().publish_metrics(registry, "sim");
-    // With resilience engaged the simulator sweep ran on its own pool, and
-    // its tallies (including the runner.* resilience counters) are the
-    // interesting ones; without it sim_pool IS pool, covering both sweeps.
-    sim_pool.publish_metrics(registry);
-    registry.save_jsonl(obs_args.metrics_path);
-    std::printf("wrote %zu metrics to %s\n", registry.size(), obs_args.metrics_path.c_str());
-  }
-  return accounting_ok && fidelity_ok && survived_ok ? 0 : 1;
+  // --perfetto re-runs the 5% point; --metrics publishes the 10% one.
+  const int status = sweep.finish(disk_results, {.trace_point = 2, .metrics_point = 3});
+  return status != 0 || !(accounting_ok && fidelity_ok && survived_ok) ? 1 : 0;
 }

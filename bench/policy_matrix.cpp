@@ -5,38 +5,14 @@
 // write-behind is decisive for write-heavy staging codes, read-ahead for
 // sequential readers, and the compulsory-I/O programs don't care.
 //
-// The 28 independent simulations fan out across the experiment runner (set
-// CRAYSIM_RUNNER_THREADS=1 for a serial, byte-identical run).
-//
-// Telemetry: "--metrics <path>" writes a JSONL snapshot (runner worker
-// utilization, phase wall times, and the venus RA+WB point's sim metrics);
-// "--perfetto <path>" re-runs that venus point with the span recorder on and
-// writes a Chrome trace-event file loadable in Perfetto. "--perfetto-sweep
-// <path>" instruments the real 28-point sweep instead — every point records
-// into its own SpanRecorder and the merged trace shows all of them as
-// labeled process groups; "--timeseries <path>" adds the sim-time counter
-// samples as JSONL ("--counter-interval <ms>" tunes the period), and
-// "--listen <host:port>" serves live /metrics (Prometheus), /status (JSON
-// progress/ETA), and /healthz while the sweep runs. All flags are passive:
-// the sweep's table is byte-identical with and without them.
-//
-// Resilience (docs/RESILIENCE.md): "--journal <path>" checkpoints each
-// settled point and resumes a partial sweep byte-identically; "--deadline
-// <s>", "--max-attempts <n>", "--chaos-fail <rate>" / "--chaos-hang <rate>"
-// / "--chaos-seed <n>" bound, retry, and chaos-test the points. A journaled
-// sweep with a deadline also arms the flight recorder: timed-out points
-// dump their last span/counter events to <journal>.flight.json. Absent
-// flags keep the runner on its legacy bit-identical path.
+// The 28 independent simulations fan out across the sweep driver (set
+// CRAYSIM_RUNNER_THREADS=1 for a serial, byte-identical run). Flags
+// (telemetry, resilience, live plane): see bench::PaperSweep in
+// sweep_obs.hpp; --perfetto and --metrics describe the venus RA+WB point.
 #include <cstdio>
-#include <numeric>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "obs/metrics.hpp"
-#include "obs/phase.hpp"
-#include "obs/span.hpp"
-#include "runner/runner.hpp"
-#include "sim/simulator.hpp"
 #include "sweep_obs.hpp"
 #include "util/table.hpp"
 #include "workload/profiles.hpp"
@@ -58,12 +34,6 @@ sim::SimParams point_params(const PolicyPoint& point) {
   return params;
 }
 
-sim::SimResult run_point(const PolicyPoint& point, const sim::SimParams& params) {
-  sim::Simulator simulator(params);
-  simulator.add_app(workload::make_profile(point.app, 11));
-  return simulator.run();
-}
-
 std::string point_label(const PolicyPoint& point) {
   std::string label{workload::app_name(point.app)};
   if (point.read_ahead && point.write_behind) return label + " RA+WB";
@@ -76,10 +46,7 @@ std::string point_label(const PolicyPoint& point) {
 
 int main(int argc, char** argv) {
   using namespace craysim;
-  const bench::ObsArgs obs_args = bench::ObsArgs::take(argc, argv);
-  const bench::ResilienceArgs res_args = bench::ResilienceArgs::take(argc, argv);
-  obs::MetricsRegistry registry;
-  obs::PhaseProfiler phases;
+  bench::PaperSweep sweep(argc, argv);
   bench::heading("Section 6.2 policy matrix: utilization %, each app alone in a 16 MB cache");
 
   // Policy order per app: RA+WB, RA only, WB only, neither.
@@ -90,29 +57,14 @@ int main(int argc, char** argv) {
     for (const auto& policy : policies) points.push_back({app, policy[0], policy[1]});
   }
 
-  runner::RunnerOptions runner_options = runner::RunnerOptions::from_env();
-  runner_options.collect_telemetry = !obs_args.metrics_path.empty();
-  bench::apply_resilience(res_args, runner_options);
-  bench::SweepObserver sweep_obs(obs_args, points.size());
-  sweep_obs.arm_flight(res_args);
-  bench::apply_telemetry(obs_args, runner_options, &registry, sweep_obs);
-  runner::ExperimentRunner pool(runner_options);
-  std::vector<std::size_t> indices(points.size());
-  std::iota(indices.begin(), indices.end(), std::size_t{0});
-  const bench::DoubleCodec codec([&](std::size_t i) { return point_label(points[i]); });
-  std::vector<double> utils;
-  {
-    const auto scope = phases.scope("sweep");
-    utils = bench::run_sweep(pool, res_args, indices, [&](std::size_t i) {
-      sim::SimParams params = point_params(points[i]);
-      sweep_obs.instrument(i, point_label(points[i]), params);
-      return run_point(points[i], params).cpu_utilization();
-    }, codec, &sweep_obs);
-  }
-  if (!sweep_obs.finish()) return 1;
+  const auto results = sweep.run(points, point_label, point_params,
+                                 [](const PolicyPoint& point, const sim::SimParams& p) {
+                                   return bench::run_apps(p, {point.app});
+                                 });
+  const auto util = [&](std::size_t i) { return 100.0 * results[i].cpu_utilization(); };
   const auto util_of = [&](workload::AppId app, std::size_t policy) {
     for (std::size_t a = 0; a < apps.size(); ++a) {
-      if (apps[a] == app) return 100.0 * utils[a * 4 + policy];
+      if (apps[a] == app) return util(a * 4 + policy);
     }
     return 0.0;
   };
@@ -121,10 +73,10 @@ int main(int argc, char** argv) {
   bool policies_help = true;
   bool les_always_fine = true;
   for (std::size_t a = 0; a < apps.size(); ++a) {
-    const double both = 100.0 * utils[a * 4 + 0];
-    const double ra = 100.0 * utils[a * 4 + 1];
-    const double wb = 100.0 * utils[a * 4 + 2];
-    const double neither = 100.0 * utils[a * 4 + 3];
+    const double both = util(a * 4 + 0);
+    const double ra = util(a * 4 + 1);
+    const double wb = util(a * 4 + 2);
+    const double neither = util(a * 4 + 3);
     table.row()
         .cell(std::string(workload::app_name(apps[a])))
         .num(both, 1)
@@ -151,31 +103,8 @@ int main(int argc, char** argv) {
                "the compulsory-I/O programs are least sensitive to the cache policies");
   bench::check(policies_help, "enabling both policies never costs meaningful utilization");
 
-  if (!obs_args.perfetto_path.empty()) {
-    // One instrumented venus RA+WB replay: spans for every process interval,
-    // I/O op lifetime, disk access, and cache eviction, viewable in Perfetto.
-    const auto scope = phases.scope("perfetto");
-    const PolicyPoint venus_point{workload::AppId::kVenus, true, true};
-    obs::SpanRecorder spans;
-    sim::SimParams params = point_params(venus_point);
-    params.spans = &spans;
-    (void)run_point(venus_point, params);
-    const std::string problem = obs::check_consistency(spans);
-    if (!problem.empty()) {
-      std::fprintf(stderr, "span consistency check failed: %s\n", problem.c_str());
-      return 1;
-    }
-    spans.save(obs_args.perfetto_path);
-    std::printf("\nwrote %zu span events to %s\n", spans.size(), obs_args.perfetto_path.c_str());
-  }
-
-  if (!obs_args.metrics_path.empty()) {
-    const PolicyPoint venus_point{workload::AppId::kVenus, true, true};
-    run_point(venus_point, point_params(venus_point)).publish_metrics(registry, "sim.venus");
-    pool.publish_metrics(registry);
-    phases.publish_metrics(registry);
-    registry.save_jsonl(obs_args.metrics_path);
-    std::printf("\nwrote %zu metrics to %s\n", registry.size(), obs_args.metrics_path.c_str());
-  }
-  return 0;
+  // --perfetto and --metrics describe venus RA+WB (point 24).
+  return sweep.finish(results,
+                      {.trace_point = 24, .metrics_point = 24, .metrics_prefix = "sim.venus",
+                       .phases = true});
 }

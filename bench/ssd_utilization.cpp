@@ -5,32 +5,53 @@
 // The paper's exception is the application whose working set/request mix
 // still forces disk waits; with our calibration that role falls to the
 // straight-to-disk-scale app with the largest uncached footprint.
+//
+// Flags (telemetry, resilience, live plane): see bench::PaperSweep in
+// sweep_obs.hpp.
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "bench_common.hpp"
-#include "sim/simulator.hpp"
+#include "sweep_obs.hpp"
 #include "util/table.hpp"
 #include "workload/profiles.hpp"
 
-int main() {
-  using namespace craysim;
+namespace {
+
+using namespace craysim;
+
+/// One or two copies of an application.
+using Copies = std::vector<workload::AppId>;
+
+std::string point_label(const Copies& apps) {
+  return std::string(workload::app_name(apps[0])) + " x" + std::to_string(apps.size());
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  bench::PaperSweep sweep(argc, argv);
   bench::heading("Section 6.3: per-application CPU utilization with a 256 MB SSD cache");
+
+  std::vector<Copies> points;
+  for (const workload::AppId app : workload::all_apps()) {
+    points.push_back({app});
+    points.push_back({app, app});
+  }
+  const auto results = sweep.run(
+      points, point_label,
+      [](const Copies&) { return sim::SimParams::paper_ssd(Bytes{256} * kMB); },
+      [](const Copies& apps, const sim::SimParams& p) { return bench::run_apps(p, apps); });
 
   TextTable table({"app", "alone util %", "idle s", "2 copies util %", "idle s (2)"});
   int above_99 = 0;
   int total = 0;
-  for (const workload::AppId app : workload::all_apps()) {
-    sim::Simulator solo(sim::SimParams::paper_ssd(Bytes{256} * kMB));
-    solo.add_app(workload::make_profile(app, 11));
-    const auto r1 = solo.run();
-
-    sim::Simulator duo(sim::SimParams::paper_ssd(Bytes{256} * kMB));
-    duo.add_app(workload::make_profile(app, 11));
-    duo.add_app(workload::make_profile(app, 22));
-    const auto r2 = duo.run();
-
+  for (std::size_t i = 0; i < points.size(); i += 2) {
+    const auto& r1 = results[i];
+    const auto& r2 = results[i + 1];
     table.row()
-        .cell(std::string(workload::app_name(app)))
+        .cell(std::string(workload::app_name(points[i][0])))
         .num(100.0 * r1.cpu_utilization(), 2)
         .num(r1.idle_time().seconds(), 1)
         .num(100.0 * r2.cpu_utilization(), 2)
@@ -44,5 +65,5 @@ int main() {
 
   bench::check(above_99 >= total - 1,
                "all applications but at most one exceed 99% CPU utilization on the SSD");
-  return 0;
+  return sweep.finish(results);
 }

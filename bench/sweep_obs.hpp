@@ -1,37 +1,52 @@
-// Sweep-scale telemetry helper shared by the figure/table benches.
+// The one sweep driver behind every paper-reproduction sweep bench.
 //
-// Wraps an obs::SpanRecorderPool behind the ObsArgs flags: each sweep point
-// claims its own recorder (plus the sim-time counter sampling interval)
-// right where its SimParams are built, and finish() validates every
-// recording and writes the merged Perfetto trace / counter time series the
-// user asked for. With neither --perfetto-sweep nor --timeseries given the
-// pool is disabled and instrument() is a no-op, so the sweep's results and
-// printed output are byte-identical to an untelemetered run.
+// bench::PaperSweep owns a sweep's whole lifecycle: it parses the shared
+// flags once (SweepArgs), builds the runner options (RunnerOptions::from_env()
+// plus the resilience and live-plane flags), owns the SweepObserver and the
+// ExperimentRunner, runs the points in submission order with each point's
+// SimParams instrumented, and at the end writes the single-point --perfetto
+// trace and the --metrics snapshot for a point the bench names. A bench is
+// left with its points, their labels, run_with(params), tables and checks.
 //
-// Latency attribution rides the same shape (docs/OBSERVABILITY.md): with
-// --attribution (or --listen) each point gets its own obs::AttributionLedger,
-// finish() writes the per-point blame rows as JSONL and prints the merged
-// "where did the time go" report, and the four-argument apply_telemetry
-// overload serves the merged ledgers live on /attribution and as sim_attr_*
-// metrics. Without those flags params.attribution stays null and the sweep
-// is bit-identical.
-//
-// Also home to the benches' resilience wiring (docs/RESILIENCE.md):
-// apply_resilience() maps the ResilienceArgs flags onto RunnerOptions, the
-// codecs give the runner's journal a lossless round trip for the two result
-// types the sweeps produce, and run_sweep() runs the journal-capable runner
-// path, reporting per-point outcomes when any flag was given. With no flag
-// given all of it collapses to the legacy pool.run path, byte for byte.
+// Flags (all optional; docs/OBSERVABILITY.md, docs/RESILIENCE.md):
+//   --metrics <path>          metrics snapshot JSONL for the named point
+//   --perfetto <path>         the named point re-run with spans + counters
+//   --perfetto-sweep <path>   every sweep point recorded, merged into one trace
+//   --timeseries <path>       every point's sim-time counter samples as JSONL
+//   --counter-interval <ms>   counter sampling period (default 100 ms sim time)
+//   --listen <host:port>      live /metrics, /status, /healthz, /attribution
+//   --attribution <path>      per-point latency-attribution ledgers as JSONL
+//   --top <n>                 rows per table in the printed blame report
+//   --journal <path>          checkpoint settled points; resume a partial sweep
+//   --deadline <s>            per-point deadline (arms the flight recorder
+//                             together with --journal)
+//   --max-attempts <n>        retry failed/timed-out points
+//   --chaos-fail <rate>, --chaos-hang <rate>, --chaos-seed <n>
+//                             inject point failures / deadline-length hangs
+// A malformed or negative value, or any other argument, prints one line to
+// stderr and exits 2. With no flag given every sink stays off, the runner
+// takes its legacy path, and the bench's output is byte-identical to an
+// uninstrumented serial run.
 #pragma once
 
+#include <algorithm>
+#include <charconv>
+#include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <numeric>
+#include <sstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "analysis/attribution.hpp"
@@ -39,62 +54,169 @@
 #include "obs/attr.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
+#include "obs/phase.hpp"
 #include "obs/sanitize.hpp"
+#include "obs/span.hpp"
 #include "obs/span_pool.hpp"
 #include "runner/runner.hpp"
 #include "sim/metrics.hpp"
 #include "sim/params.hpp"
+#include "sim/simulator.hpp"
 #include "util/atomic_file.hpp"
 #include "util/digest.hpp"
+#include "util/error.hpp"
+#include "workload/profiles.hpp"
 
 namespace craysim::bench {
 
-/// Sampling period used when sweep telemetry is on but --counter-interval
+/// Sampling period used when counters are recorded but --counter-interval
 /// was not given: 100 ms of simulated time keeps even hour-long runs under
 /// ~40k samples per counter track.
 inline constexpr double kDefaultCounterIntervalMs = 100.0;
 
+/// The shared sweep flags (see the file comment). Empty paths and zero
+/// numbers mean "off".
+struct SweepArgs {
+  std::string metrics_path;
+  std::string perfetto_path;
+  std::string perfetto_sweep_path;
+  std::string timeseries_path;
+  double counter_interval_ms = 0.0;  ///< 0 = kDefaultCounterIntervalMs
+  std::string listen_addr;
+  std::string attribution_path;
+  std::uint64_t attr_top = 10;
+  std::string journal_path;
+  double deadline_s = 0.0;
+  int max_attempts = 0;  ///< 0 = runner default (no retries)
+  double chaos_fail_rate = 0.0;
+  double chaos_hang_rate = 0.0;
+  std::uint64_t chaos_seed = 0;  ///< 0 = plan default
+
+  /// Did the user ask for any per-sweep-point recording?
+  [[nodiscard]] bool sweep_telemetry() const {
+    return !perfetto_sweep_path.empty() || !timeseries_path.empty();
+  }
+
+  /// Latency attribution: --attribution, or a live server whose
+  /// /attribution endpoint should have data.
+  [[nodiscard]] bool attribution() const {
+    return !attribution_path.empty() || !listen_addr.empty();
+  }
+
+  [[nodiscard]] bool resilience() const {
+    return !journal_path.empty() || deadline_s > 0.0 || max_attempts > 0 ||
+           chaos_fail_rate > 0.0 || chaos_hang_rate > 0.0;
+  }
+
+  [[nodiscard]] Ticks counter_interval() const {
+    return Ticks::from_ms(counter_interval_ms > 0.0 ? counter_interval_ms
+                                                    : kDefaultCounterIntervalMs);
+  }
+
+  /// Parses argv[1..argc) as "<flag> <value>" pairs in any order (a repeated
+  /// flag keeps its last value). Throws ConfigError on an unknown argument, a
+  /// flag without a value, or a numeric value that is malformed, negative,
+  /// out of range or not finite.
+  [[nodiscard]] static SweepArgs parse(int argc, const char* const* argv) {
+    using Field = std::variant<std::string SweepArgs::*, double SweepArgs::*,
+                               int SweepArgs::*, std::uint64_t SweepArgs::*>;
+    static const std::pair<std::string_view, Field> kFlags[] = {
+        {"--metrics", &SweepArgs::metrics_path},
+        {"--perfetto", &SweepArgs::perfetto_path},
+        {"--perfetto-sweep", &SweepArgs::perfetto_sweep_path},
+        {"--timeseries", &SweepArgs::timeseries_path},
+        {"--counter-interval", &SweepArgs::counter_interval_ms},
+        {"--listen", &SweepArgs::listen_addr},
+        {"--attribution", &SweepArgs::attribution_path},
+        {"--top", &SweepArgs::attr_top},
+        {"--journal", &SweepArgs::journal_path},
+        {"--deadline", &SweepArgs::deadline_s},
+        {"--max-attempts", &SweepArgs::max_attempts},
+        {"--chaos-fail", &SweepArgs::chaos_fail_rate},
+        {"--chaos-hang", &SweepArgs::chaos_hang_rate},
+        {"--chaos-seed", &SweepArgs::chaos_seed},
+    };
+    SweepArgs args;
+    for (int i = 1; i < argc; i += 2) {
+      const std::string_view flag = argv[i];
+      const auto known = std::find_if(std::begin(kFlags), std::end(kFlags),
+                                      [&](const auto& entry) { return entry.first == flag; });
+      if (known == std::end(kFlags)) {
+        throw ConfigError("unknown argument '" + std::string(flag) + "'");
+      }
+      if (i + 1 >= argc) throw ConfigError(std::string(flag) + ": missing value");
+      const std::string value = argv[i + 1];
+      std::visit(
+          [&](auto member) {
+            using T = std::remove_reference_t<decltype(args.*member)>;
+            if constexpr (std::is_same_v<T, std::string>) {
+              args.*member = value;
+            } else {
+              args.*member = parse_number<T>(flag, value);
+            }
+          },
+          known->second);
+    }
+    return args;
+  }
+
+ private:
+  template <typename T>
+  [[nodiscard]] static T parse_number(std::string_view flag, const std::string& text) {
+    T value{};
+    bool ok = false;
+    if constexpr (std::is_floating_point_v<T>) {
+      char* end = nullptr;
+      value = std::strtod(text.c_str(), &end);
+      ok = !text.empty() && end == text.c_str() + text.size() && std::isfinite(value) &&
+           value >= 0.0;
+    } else {
+      const char* last = text.data() + text.size();
+      const auto [ptr, ec] = std::from_chars(text.data(), last, value);
+      ok = ec == std::errc{} && ptr == last;
+      if constexpr (std::is_signed_v<T>) ok = ok && value >= 0;
+    }
+    if (!ok) {
+      throw ConfigError(std::string(flag) + ": expected a non-negative " +
+                       (std::is_floating_point_v<T> ? "number" : "integer") + ", got '" +
+                       text + "'");
+    }
+    return value;
+  }
+};
+
+/// Per-point sinks of one sweep: the --perfetto-sweep/--timeseries span
+/// pool, the --attribution blame ledgers, and the deadline flight recorder.
+/// With none of those flags instrument() leaves SimParams untouched, so the
+/// simulation does zero telemetry work.
 class SweepObserver {
  public:
-  SweepObserver(const ObsArgs& args, std::size_t points)
+  SweepObserver(const SweepArgs& args, std::size_t points)
       : args_(args), pool_(points, args.sweep_telemetry()) {
     if (args.attribution()) {
       ledgers_ = std::make_unique<obs::AttributionLedger[]>(points);
       attr_labels_.assign(points, {});
     }
+    // The flight recorder (docs/OBSERVABILITY.md) arms only for journaled
+    // sweeps with a deadline — the combination where a timed-out point would
+    // otherwise leave no evidence behind. One bounded ring per point, filled
+    // by a span tee while the point runs.
+    if (!args.journal_path.empty() && args.deadline_s > 0.0) {
+      flight_path_ = args.journal_path + ".flight.json";
+      flights_ = std::vector<obs::FlightRecorder>(points);
+      flight_labels_.resize(points);
+      if (!pool_.enabled()) flight_spans_ = std::vector<obs::SpanRecorder>(points);
+    }
   }
 
-  [[nodiscard]] bool enabled() const { return pool_.enabled(); }
-  [[nodiscard]] obs::SpanRecorderPool& pool() { return pool_; }
-
-  /// Did --attribution (or --listen, which serves /attribution) arm the
-  /// per-point blame ledgers?
   [[nodiscard]] bool attribution_enabled() const { return ledgers_ != nullptr; }
-
-  /// Arms the deadline flight recorder (docs/OBSERVABILITY.md): one bounded
-  /// ring per point, filled by a span tee while the point runs, dumped to
-  /// `<journal>.flight.json` by dump_flight() when any point times out.
-  /// Armed only for journaled sweeps with a deadline — the combination
-  /// where a timed-out point would otherwise leave no evidence behind.
-  void arm_flight(const ResilienceArgs& res) {
-    if (res.journal_path.empty() || res.deadline_s <= 0.0) return;
-    flight_path_ = res.journal_path + ".flight.json";
-    flight_deadline_s_ = res.deadline_s;
-    flights_ = std::vector<obs::FlightRecorder>(pool_.size());
-    flight_labels_.resize(pool_.size());
-    if (!pool_.enabled()) flight_spans_ = std::vector<obs::SpanRecorder>(pool_.size());
-  }
-
   [[nodiscard]] bool flight_armed() const { return !flights_.empty(); }
   [[nodiscard]] const std::string& flight_path() const { return flight_path_; }
 
-  /// Claims point `index`'s recorder and wires it — plus the counter
-  /// sampling interval — into `params`. No-op when sweep telemetry is off
-  /// and no flight ring is armed (params keeps its null spans default, so
-  /// the claim path reads no clocks and the simulation does zero telemetry
-  /// work). With a flight ring armed but Perfetto export off, the point gets
-  /// a constant-memory flight-only recorder instead (events tee into the
-  /// ring and are not retained).
+  /// Wires point `index`'s sinks into `params`: its blame ledger, and its
+  /// span recorder plus the counter sampling interval. With a flight ring
+  /// armed but Perfetto export off, the point gets a constant-memory
+  /// flight-only recorder (events tee into the ring and are not retained).
   void instrument(std::size_t index, std::string label, sim::SimParams& params) {
     if (ledgers_ != nullptr && index < pool_.size()) {
       {
@@ -118,9 +240,7 @@ class SweepObserver {
       recorder->set_flight(&flights_[index]);
     }
     params.spans = recorder;
-    const double ms =
-        args_.counter_interval_ms > 0.0 ? args_.counter_interval_ms : kDefaultCounterIntervalMs;
-    params.counter_interval = Ticks::from_ms(ms);
+    params.counter_interval = args_.counter_interval();
   }
 
   /// Writes `<journal>.flight.json` (atomically) when the flight ring is
@@ -128,8 +248,8 @@ class SweepObserver {
   /// timed-out point with its outcome and the tail of its recording. Points
   /// that never reached their own simulation (a chaos hang cancelled before
   /// the body ran) appear with an empty event tail — the outcome fields
-  /// still say what happened. No-op otherwise. Returns the path written, or
-  /// "" when nothing was dumped (so callers can report it to /status).
+  /// still say what happened. Returns the path written, or "" when nothing
+  /// was dumped.
   std::string dump_flight(const std::vector<runner::PointOutcome>& outcomes) {
     if (!flight_armed()) return {};
     std::size_t timed_out = 0;
@@ -138,7 +258,7 @@ class SweepObserver {
     }
     if (timed_out == 0) return {};
     std::ostringstream out;
-    out << "{\"craysim_flight\":1,\"deadline_s\":" << flight_deadline_s_
+    out << "{\"craysim_flight\":1,\"deadline_s\":" << args_.deadline_s
         << ",\"capacity\":" << obs::FlightRecorder::kDefaultCapacity << ",\"points\":[";
     bool first = true;
     for (std::size_t i = 0; i < outcomes.size() && i < flights_.size(); ++i) {
@@ -184,8 +304,7 @@ class SweepObserver {
   }
 
   /// Publishes the merged summary into `registry` under "sim.attr" (the
-  /// sim_attr_* Prometheus families). Wired into the runner's per-scrape
-  /// hook by apply_telemetry below.
+  /// sim_attr_* Prometheus families) on every live /metrics scrape.
   void publish_attribution(obs::MetricsRegistry& registry) const {
     if (ledgers_ == nullptr) return;
     const obs::AttrSummary merged = attribution_summary();
@@ -193,10 +312,9 @@ class SweepObserver {
   }
 
   /// Writes the per-point JSONL blame ledgers and prints the merged blame
-  /// report. finish() calls this on success; run_sweep() calls it before a
-  /// failure exit, so — like the flight dump — a sweep that dies of
-  /// timeouts still leaves its attribution evidence behind. No-op unless
-  /// --attribution was given.
+  /// report. Also runs before a failure exit, so — like the flight dump — a
+  /// sweep that dies of timeouts still leaves its attribution evidence
+  /// behind. No-op unless --attribution was given.
   void write_attribution_artifact() const {
     if (ledgers_ == nullptr || args_.attribution_path.empty()) return;
     std::ostringstream out;
@@ -215,13 +333,14 @@ class SweepObserver {
     util::write_file_atomic(args_.attribution_path, out.str());
     std::printf("wrote attribution ledgers (%zu points) to %s\n", pool_.size(),
                 args_.attribution_path.c_str());
-    std::printf("\n%s", analysis::attribution_report(attribution_summary(),
-                                                     args_.attr_top).c_str());
+    std::printf("\n%s", analysis::attribution_report(
+                            attribution_summary(), static_cast<std::size_t>(args_.attr_top))
+                            .c_str());
   }
 
   /// Validates every recording and writes the requested artifacts. Returns
   /// false (after printing the violation to stderr) if any point's spans
-  /// are inconsistent; callers should fail the bench run in that case.
+  /// are inconsistent.
   [[nodiscard]] bool finish() {
     if (pool_.enabled()) {
       const std::string problem = obs::check_consistency(pool_);
@@ -244,7 +363,7 @@ class SweepObserver {
   }
 
  private:
-  ObsArgs args_;
+  SweepArgs args_;
   obs::SpanRecorderPool pool_;
 
   // Attribution state; null unless args.attribution(). One ledger per sweep
@@ -256,201 +375,253 @@ class SweepObserver {
   mutable std::mutex attr_mutex_;           ///< guards attr_labels_ contents
   std::vector<std::string> attr_labels_;
 
-  // Flight-recorder state; all empty until arm_flight(). The vectors are
-  // sized once (never reallocated mid-sweep — workers hold pointers into
-  // them) and each slot is touched only by the worker running that point.
+  // Flight-recorder state; all empty unless armed. The vectors are sized
+  // once (never reallocated mid-sweep — workers hold pointers into them)
+  // and each slot is touched only by the worker running that point.
   std::string flight_path_;
-  double flight_deadline_s_ = 0.0;
   std::vector<obs::FlightRecorder> flights_;
   std::vector<obs::SpanRecorder> flight_spans_;  ///< flight-only probes (Perfetto off)
   std::vector<std::string> flight_labels_;
 };
 
-/// Single-point "--perfetto" support shared by the benches: re-runs one
-/// representative configuration with a span recorder (and counter sampling)
-/// attached, validates the recording, and writes the Chrome-trace file.
-/// `run` receives the instrumented params and must execute the simulation.
-/// Returns false on a consistency violation; no-op (true) when --perfetto
-/// was not given.
-template <typename RunFn>
-[[nodiscard]] bool write_point_trace(const ObsArgs& args, sim::SimParams params, RunFn&& run) {
-  if (args.perfetto_path.empty()) return true;
-  obs::SpanRecorder spans;
-  params.spans = &spans;
-  const double ms =
-      args.counter_interval_ms > 0.0 ? args.counter_interval_ms : kDefaultCounterIntervalMs;
-  params.counter_interval = Ticks::from_ms(ms);
-  run(static_cast<const sim::SimParams&>(params));
-  const std::string problem = obs::check_consistency(spans);
-  if (!problem.empty()) {
-    std::fprintf(stderr, "span consistency check failed: %s\n", problem.c_str());
-    return false;
+/// The paper benches' workload: `apps` side by side under `params`, the k-th
+/// seeded 11 * (k + 1) — two venus copies are seeds 11 and 22.
+[[nodiscard]] inline sim::SimResult run_apps(const sim::SimParams& params,
+                                             const std::vector<workload::AppId>& apps) {
+  sim::Simulator simulator(params);
+  std::uint64_t seed = 11;
+  for (const workload::AppId app : apps) {
+    simulator.add_app(workload::make_profile(app, seed));
+    seed += 11;
   }
-  spans.save(args.perfetto_path);
-  std::printf("\nwrote %zu span events to %s\n", spans.size(), args.perfetto_path.c_str());
-  return true;
+  return simulator.run();
 }
 
-/// Maps the ResilienceArgs CLI flags onto RunnerOptions. Flags left at their
-/// defaults change nothing, so absent flags keep the options bit-identical
-/// (and the runner on its legacy path).
-inline void apply_resilience(const ResilienceArgs& args, runner::RunnerOptions& options) {
-  if (!args.journal_path.empty()) options.journal_path = args.journal_path;
-  if (args.deadline_s > 0.0) {
-    options.point_deadline =
-        std::chrono::nanoseconds(static_cast<std::int64_t>(args.deadline_s * 1e9));
+/// Which sweep point PaperSweep::finish's single-point artifacts describe.
+struct SweepReport {
+  std::size_t trace_point = 0;    ///< re-run instrumented for --perfetto
+  std::size_t metrics_point = 0;  ///< SimResult published by --metrics
+  std::string_view metrics_prefix = "sim";
+  bool phases = false;  ///< also publish the sweep/perfetto wall times (phase.*)
+};
+
+class PaperSweep {
+ public:
+  /// Parses the shared flags; on a bad command line prints one line naming
+  /// the flag and exits 2. `base` carries the runner settings no flag
+  /// controls (thread count, backoff). Arms the interrupted-run stdout
+  /// flush hooks.
+  PaperSweep(int argc, const char* const* argv,
+             runner::RunnerOptions base = runner::RunnerOptions::from_env())
+      : program_(argc > 0 ? argv[0] : "bench"), base_(std::move(base)) {
+    try {
+      args_ = SweepArgs::parse(argc, argv);
+    } catch (const ConfigError& e) {
+      usage_exit(e.what());
+    }
+    install_signal_flush_hooks();
   }
-  if (args.max_attempts > 0) options.max_attempts = args.max_attempts;
-  if (args.chaos_fail_rate > 0.0) options.chaos.fail_rate = args.chaos_fail_rate;
-  if (args.chaos_hang_rate > 0.0) options.chaos.hang_rate = args.chaos_hang_rate;
-  if (args.chaos_seed != 0) options.chaos.seed = args.chaos_seed;
-}
 
-/// Maps the ObsArgs live-plane flag onto RunnerOptions: "--listen" starts
-/// the runner's embedded /metrics + /status server, with `metrics` (usually
-/// the bench's accumulating registry) folded into every /metrics scrape.
-/// Absent flag changes nothing — the options stay bit-identical and no
-/// server thread exists.
-inline void apply_telemetry(const ObsArgs& args, runner::RunnerOptions& options,
-                            obs::MetricsRegistry* metrics = nullptr) {
-  if (args.listen_addr.empty()) return;
-  options.listen_addr = args.listen_addr;
-  options.metrics = metrics;
-}
+  PaperSweep(const PaperSweep&) = delete;
+  PaperSweep& operator=(const PaperSweep&) = delete;
 
-/// Sweep-observer-aware overload: additionally serves the observer's merged
-/// blame ledgers on the live plane — a /attribution JSON endpoint plus the
-/// sim_attr_* families folded into every /metrics scrape. The observer must
-/// outlive the runner built from these options (construct it first), since
-/// the server thread calls back into it on every scrape.
-inline void apply_telemetry(const ObsArgs& args, runner::RunnerOptions& options,
-                            obs::MetricsRegistry* metrics, SweepObserver& observer) {
-  apply_telemetry(args, options, metrics);
-  if (args.listen_addr.empty() || !observer.attribution_enabled()) return;
-  options.endpoints.push_back({"/attribution", "application/json",
-                               [&observer] { return observer.attribution_json(); }});
-  options.scrape_hook = [&observer](obs::MetricsRegistry& registry) {
-    observer.publish_attribution(registry);
+  /// Builds the observer and the runner for a sweep of `points` points; the
+  /// live plane (--listen) is up from here on. run() calls this; code that
+  /// drives the runner itself calls it directly. One sweep per driver.
+  runner::ExperimentRunner& start(std::size_t points) {
+    if (runner_ != nullptr) throw std::logic_error("PaperSweep drives exactly one sweep");
+    observer_ = std::make_unique<SweepObserver>(args_, points);
+    runner::RunnerOptions options = base_;
+    options.collect_telemetry = !args_.metrics_path.empty();
+    if (!args_.journal_path.empty()) options.journal_path = args_.journal_path;
+    if (args_.deadline_s > 0.0) {
+      options.point_deadline =
+          std::chrono::nanoseconds(static_cast<std::int64_t>(args_.deadline_s * 1e9));
+    }
+    if (args_.max_attempts > 0) options.max_attempts = args_.max_attempts;
+    if (args_.chaos_fail_rate > 0.0) options.chaos.fail_rate = args_.chaos_fail_rate;
+    if (args_.chaos_hang_rate > 0.0) options.chaos.hang_rate = args_.chaos_hang_rate;
+    if (args_.chaos_seed != 0) options.chaos.seed = args_.chaos_seed;
+    if (!args_.listen_addr.empty()) {
+      options.listen_addr = args_.listen_addr;
+      options.metrics = &registry_;
+      if (observer_->attribution_enabled()) {
+        // The server thread calls back into the observer on every scrape;
+        // member order destroys the runner before the observer.
+        const SweepObserver* live = observer_.get();
+        options.endpoints.push_back({"/attribution", "application/json",
+                                     [live] { return live->attribution_json(); }});
+        options.scrape_hook = [live](obs::MetricsRegistry& registry) {
+          live->publish_attribution(registry);
+        };
+      }
+    }
+    runner_ = std::make_unique<runner::ExperimentRunner>(std::move(options));
+    return *runner_;
+  }
+
+  /// The observer of the started sweep (valid after start()).
+  [[nodiscard]] SweepObserver& observer() { return *observer_; }
+
+  /// Runs one simulation per point and returns the results in submission
+  /// order. Point i runs `run_with(params)` — or `run_with(point, params)`
+  /// when the workload depends on the point — on `params(point)` with the
+  /// flag-selected sinks attached; `label(point)` names the point in traces,
+  /// ledgers, the flight dump and the journal. When any resilience flag was
+  /// given, prints a one-line outcome summary. A failed point is reported to
+  /// stderr and exits the bench with status 1, after the flight dump and the
+  /// attribution ledgers are written; a configuration the runner rejects
+  /// (e.g. --chaos-hang without --deadline, a foreign journal) exits 2.
+  template <typename Point, typename LabelFn, typename ParamsFn, typename RunFn>
+  [[nodiscard]] std::vector<sim::SimResult> run(const std::vector<Point>& points,
+                                                LabelFn label, ParamsFn params,
+                                                RunFn run_with) {
+    std::vector<std::string> labels;
+    labels.reserve(points.size());
+    for (const Point& point : points) labels.emplace_back(label(point));
+    simulate_ = [points, params, run_with](std::size_t i, const Instrument& instrument) {
+      sim::SimParams p = params(points[i]);
+      instrument(p);
+      if constexpr (std::is_invocable_v<const RunFn&, const Point&, const sim::SimParams&>) {
+        return sim::SimResult(run_with(points[i], p));
+      } else {
+        return sim::SimResult(run_with(p));
+      }
+    };
+    runner::ExperimentRunner& pool = start(points.size());
+    if (observer_->flight_armed()) pool.note_flight_armed(observer_->flight_path());
+    std::vector<std::size_t> indices(points.size());
+    std::iota(indices.begin(), indices.end(), std::size_t{0});
+    std::vector<runner::PointResult<sim::SimResult>> settled;
+    try {
+      const auto scope = phases_.scope("sweep");
+      settled = pool.run_settled(
+          indices,
+          [&](std::size_t i) {
+            return simulate_(i, [&](sim::SimParams& p) {
+              observer_->instrument(i, labels[i], p);
+            });
+          },
+          SimResultCodec{labels});
+    } catch (const Error& e) {
+      usage_exit(e.what());
+    }
+    return settle(std::move(settled));
+  }
+
+  /// Validates the sweep recordings and writes every requested artifact:
+  /// the sweep-wide ones, the --perfetto re-run of `report.trace_point`, and
+  /// the --metrics snapshot of `results[report.metrics_point]` plus runner
+  /// (and optionally phase) metrics. Returns the bench's exit status: 0, or
+  /// 1 on a span consistency failure.
+  [[nodiscard]] int finish(const std::vector<sim::SimResult>& results,
+                           const SweepReport& report = {}) {
+    if (!observer_->finish()) return 1;
+    if (!args_.perfetto_path.empty()) {
+      const auto scope = phases_.scope("perfetto");
+      obs::SpanRecorder spans;
+      (void)simulate_(report.trace_point, [&](sim::SimParams& p) {
+        p.spans = &spans;
+        p.counter_interval = args_.counter_interval();
+      });
+      const std::string problem = obs::check_consistency(spans);
+      if (!problem.empty()) {
+        std::fprintf(stderr, "span consistency check failed: %s\n", problem.c_str());
+        return 1;
+      }
+      spans.save(args_.perfetto_path);
+      std::printf("\nwrote %zu span events to %s\n", spans.size(), args_.perfetto_path.c_str());
+    }
+    if (!args_.metrics_path.empty()) {
+      results.at(report.metrics_point).publish_metrics(registry_, report.metrics_prefix);
+      runner_->publish_metrics(registry_);
+      if (report.phases) phases_.publish_metrics(registry_);
+      registry_.save_jsonl(args_.metrics_path);
+      std::printf("wrote %zu metrics to %s\n", registry_.size(), args_.metrics_path.c_str());
+    }
+    return 0;
+  }
+
+ private:
+  using Instrument = std::function<void(sim::SimParams&)>;
+
+  /// Journal codec for sweep points: the lossless sim::serialize_sim_result
+  /// round trip, with each point's label as its input identity, so a journal
+  /// written by one bench (or one point layout) is rejected by any other.
+  struct SimResultCodec {
+    const std::vector<std::string>& labels;
+
+    [[nodiscard]] std::string encode(const sim::SimResult& r) const {
+      return sim::serialize_sim_result(r);
+    }
+    [[nodiscard]] sim::SimResult decode(std::string_view text) const {
+      return sim::parse_sim_result(text);
+    }
+    [[nodiscard]] std::uint64_t digest(std::size_t point) const {
+      util::Fnv1a fnv;
+      fnv.add_text(labels[point]);
+      return fnv.value();
+    }
   };
-}
 
-/// Journal input-identity digest for a sweep point, from its human-readable
-/// label. The runner folds these into the sweep digest, so a journal written
-/// by one bench (or one point layout) is rejected by any other.
-[[nodiscard]] inline std::uint64_t label_digest(std::string_view label) {
-  util::Fnv1a digest;
-  digest.add_text(label);
-  return digest.value();
-}
-
-/// Journal codec for sweeps whose point function returns a bare double
-/// (utilization tables). Encoding uses hexfloat, so decode(encode(v)) == v
-/// bit for bit. `identity` labels point i for the input digest.
-class DoubleCodec {
- public:
-  explicit DoubleCodec(std::function<std::string(std::size_t)> identity)
-      : identity_(std::move(identity)) {}
-
-  [[nodiscard]] std::string encode(double v) const {
-    char buf[48];
-    std::snprintf(buf, sizeof buf, "%a", v);
-    return buf;
-  }
-  [[nodiscard]] double decode(std::string_view text) const {
-    return std::strtod(std::string(text).c_str(), nullptr);
-  }
-  [[nodiscard]] std::uint64_t digest(std::size_t point) const {
-    return label_digest(identity_(point));
+  [[noreturn]] void usage_exit(const std::string& message) const {
+    std::fprintf(stderr, "%s: %s\n", program_.c_str(), message.c_str());
+    std::exit(2);
   }
 
- private:
-  std::function<std::string(std::size_t)> identity_;
-};
-
-/// Journal codec for sweeps that keep the whole SimResult per point, backed
-/// by the lossless sim::serialize_sim_result round trip.
-class SimResultCodec {
- public:
-  explicit SimResultCodec(std::function<std::string(std::size_t)> identity)
-      : identity_(std::move(identity)) {}
-
-  [[nodiscard]] std::string encode(const sim::SimResult& r) const {
-    return sim::serialize_sim_result(r);
-  }
-  [[nodiscard]] sim::SimResult decode(std::string_view text) const {
-    return sim::parse_sim_result(text);
-  }
-  [[nodiscard]] std::uint64_t digest(std::size_t point) const {
-    return label_digest(identity_(point));
-  }
-
- private:
-  std::function<std::string(std::size_t)> identity_;
-};
-
-/// Runs a sweep through the runner's journal-capable path and returns the
-/// values in submission order, like ExperimentRunner::run. When any
-/// resilience flag was given, prints a one-line outcome summary (attempts,
-/// retries, journal-restored points) after the sweep settles; with no flag
-/// the runner takes its legacy path and the printed output is byte-identical
-/// to pool.run. Failed points are reported to stderr (with their resilience
-/// status) and exit the bench with status 1 instead of throwing out of main.
-/// With an observer whose flight ring is armed, the flight dump is written
-/// before any failure exit — a sweep that dies of timeouts still leaves its
-/// evidence behind — and the same goes for the --attribution ledgers.
-template <typename Point, typename Fn, typename Codec>
-[[nodiscard]] auto run_sweep(runner::ExperimentRunner& pool, const ResilienceArgs& res,
-                             const std::vector<Point>& points, Fn&& fn, const Codec& codec,
-                             SweepObserver* obs = nullptr)
-    -> std::vector<runner::detail::point_value_t<Fn, Point>> {
-  if (obs != nullptr && obs->flight_armed()) pool.note_flight_armed(obs->flight_path());
-  auto settled = pool.run_settled(points, std::forward<Fn>(fn), codec);
-  if (obs != nullptr && obs->flight_armed()) {
+  std::vector<sim::SimResult> settle(std::vector<runner::PointResult<sim::SimResult>> settled) {
     std::vector<runner::PointOutcome> outcomes;
     outcomes.reserve(settled.size());
     for (const auto& point : settled) outcomes.push_back(point.outcome);
-    const std::string dump = obs->dump_flight(outcomes);
-    if (!dump.empty()) pool.note_flight_dump(dump);
-  }
-  if (res.any()) {
-    std::int64_t attempts = 0;
-    std::int64_t restored = 0;
-    std::int64_t failed = 0;
-    std::int64_t timed_out = 0;
-    for (const auto& point : settled) {
-      attempts += point.outcome.attempts;
-      restored += point.outcome.from_journal ? 1 : 0;
-      failed += point.outcome.status == runner::PointStatus::kFailed ? 1 : 0;
-      timed_out += point.outcome.status == runner::PointStatus::kTimedOut ? 1 : 0;
+    const std::string dump = observer_->dump_flight(outcomes);
+    if (!dump.empty()) runner_->note_flight_dump(dump);
+    if (args_.resilience()) {
+      long long attempts = 0;
+      long long restored = 0;
+      long long failed = 0;
+      long long timed_out = 0;
+      for (const auto& outcome : outcomes) {
+        attempts += outcome.attempts;
+        restored += outcome.from_journal ? 1 : 0;
+        failed += outcome.status == runner::PointStatus::kFailed ? 1 : 0;
+        timed_out += outcome.status == runner::PointStatus::kTimedOut ? 1 : 0;
+      }
+      std::printf("resilience: %zu points, %lld attempts, %lld restored from journal, "
+                  "%lld failed, %lld timed out\n",
+                  settled.size(), attempts, restored, failed, timed_out);
     }
-    std::printf("resilience: %zu points, %lld attempts, %lld restored from journal, "
-                "%lld failed, %lld timed out\n",
-                settled.size(), static_cast<long long>(attempts),
-                static_cast<long long>(restored), static_cast<long long>(failed),
-                static_cast<long long>(timed_out));
-  }
-  bool ok = true;
-  for (std::size_t i = 0; i < settled.size(); ++i) {
-    if (settled[i].ok()) continue;
-    ok = false;
-    try {
-      std::rethrow_exception(settled[i].error);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "sweep point %zu failed (%s, %d attempts): %s\n", i,
-                   runner::point_status_name(settled[i].outcome.status),
-                   settled[i].outcome.attempts, e.what());
+    bool ok = true;
+    for (std::size_t i = 0; i < settled.size(); ++i) {
+      if (settled[i].ok()) continue;
+      ok = false;
+      try {
+        std::rethrow_exception(settled[i].error);
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "sweep point %zu failed (%s, %d attempts): %s\n", i,
+                     runner::point_status_name(settled[i].outcome.status),
+                     settled[i].outcome.attempts, e.what());
+      }
     }
+    if (!ok) {
+      observer_->write_attribution_artifact();
+      std::exit(1);
+    }
+    std::vector<sim::SimResult> values;
+    values.reserve(settled.size());
+    for (auto& point : settled) values.push_back(std::move(*point.value));
+    return values;
   }
-  if (!ok) {
-    // The failed sweep still leaves its blame ledgers behind — like the
-    // flight dump above, attribution matters most for the run that died.
-    if (obs != nullptr) obs->write_attribution_artifact();
-    std::exit(1);
-  }
-  std::vector<runner::detail::point_value_t<Fn, Point>> values;
-  values.reserve(settled.size());
-  for (auto& point : settled) values.push_back(std::move(*point.value));
-  return values;
-}
+
+  std::string program_;
+  SweepArgs args_;
+  runner::RunnerOptions base_;
+  obs::MetricsRegistry registry_;
+  obs::PhaseProfiler phases_;
+  std::function<sim::SimResult(std::size_t, const Instrument&)> simulate_;
+  // Declared after everything the runner's server thread reads (registry,
+  // observer), so the runner — and with it the live plane — goes first.
+  std::unique_ptr<SweepObserver> observer_;
+  std::unique_ptr<runner::ExperimentRunner> runner_;
+};
 
 }  // namespace craysim::bench

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <numeric>
 #include <optional>
@@ -297,22 +298,22 @@ TEST(RunnerLivePlane, ConcurrentScrapesDuringChaosSweepStayClean) {
   // read shows up under TSan here.
   const std::string journal = temp_path("chaos.journal");
   std::remove(journal.c_str());
-  bench::ObsArgs obs_args;
-  obs_args.listen_addr = "127.0.0.1:0";
-  obs_args.attribution_path = temp_path("chaos_attr.jsonl");
-  bench::SweepObserver observer(obs_args, 24);
+  const std::string attr_path = temp_path("chaos_attr.jsonl");
+  // The sweep driver maps these flags onto the runner: a 4-worker pool
+  // retrying hang- and fail-injected points under an 80 ms deadline.
+  const std::string seed = std::to_string(0xC4A05);
+  const char* argv[] = {"obs_server_test", "--listen", "127.0.0.1:0",
+                        "--attribution", attr_path.c_str(), "--journal", journal.c_str(),
+                        "--deadline", "0.08", "--max-attempts", "2",
+                        "--chaos-fail", "0.2", "--chaos-hang", "0.3",
+                        "--chaos-seed", seed.c_str()};
+  runner::RunnerOptions base;
+  base.threads = 4;
+  base.retry_backoff = std::chrono::milliseconds(1);
+  bench::PaperSweep sweep(static_cast<int>(std::size(argv)), argv, base);
+  runner::ExperimentRunner& pool = sweep.start(24);
+  bench::SweepObserver& observer = sweep.observer();
   ASSERT_TRUE(observer.attribution_enabled());
-  runner::RunnerOptions options;
-  options.threads = 4;
-  options.journal_path = journal;
-  options.point_deadline = std::chrono::milliseconds(80);
-  options.max_attempts = 2;
-  options.retry_backoff = std::chrono::milliseconds(1);
-  options.chaos.fail_rate = 0.2;
-  options.chaos.hang_rate = 0.3;
-  options.chaos.seed = 0xC4A05;
-  bench::apply_telemetry(obs_args, options, nullptr, observer);
-  runner::ExperimentRunner pool(options);
   ASSERT_NE(pool.telemetry_server(), nullptr);
   const std::uint16_t port = pool.telemetry_server()->port();
 
@@ -465,31 +466,31 @@ TEST(FlightRecorder, SpanRecorderTeeFeedsTheRing) {
   EXPECT_EQ(ring.size(), 4u);
 }
 
-// --- SweepObserver flight dump --------------------------------------------
+// --- Sweep driver flight dump ----------------------------------------------
 
 TEST(SweepObserverFlight, ArmsOnlyForJournaledDeadlineSweeps) {
-  const bench::ObsArgs obs_args;
-  bench::SweepObserver observer(obs_args, 3);
-  bench::ResilienceArgs res;
-  res.deadline_s = 1.0;  // deadline but no journal: nowhere to dump
-  observer.arm_flight(res);
-  EXPECT_FALSE(observer.flight_armed());
-  res.journal_path = temp_path("unarmed.journal");
-  res.deadline_s = 0.0;  // journal but no deadline: nothing can time out
-  observer.arm_flight(res);
-  EXPECT_FALSE(observer.flight_armed());
+  const std::string journal = temp_path("unarmed.journal");
+  // Deadline but no journal: nowhere to dump.
+  const char* deadline_only[] = {"bench", "--deadline", "1.0"};
+  bench::PaperSweep no_journal(3, deadline_only);
+  (void)no_journal.start(3);
+  EXPECT_FALSE(no_journal.observer().flight_armed());
+  // Journal but no deadline: nothing can time out.
+  const char* journal_only[] = {"bench", "--journal", journal.c_str()};
+  bench::PaperSweep no_deadline(3, journal_only);
+  (void)no_deadline.start(3);
+  EXPECT_FALSE(no_deadline.observer().flight_armed());
 }
 
 TEST(SweepObserverFlight, DumpsTimedOutPointsWithEventTails) {
   const std::string journal = temp_path("flight.journal");
   const std::string flight_file = journal + ".flight.json";
   std::remove(flight_file.c_str());
-  const bench::ObsArgs obs_args;  // no Perfetto export: flight-only probes
-  bench::SweepObserver observer(obs_args, 3);
-  bench::ResilienceArgs res;
-  res.journal_path = journal;
-  res.deadline_s = 0.5;
-  observer.arm_flight(res);
+  // No Perfetto export: flight-only probes.
+  const char* argv[] = {"bench", "--journal", journal.c_str(), "--deadline", "0.5"};
+  bench::PaperSweep sweep(5, argv);
+  (void)sweep.start(3);
+  bench::SweepObserver& observer = sweep.observer();
   ASSERT_TRUE(observer.flight_armed());
 
   sim::SimParams params = sim::SimParams::paper_main_memory(Bytes{16} * kMB);
