@@ -39,6 +39,31 @@ std::int64_t BufferCache::owned_blocks(std::uint32_t pid) const {
   return pid < owners_.size() ? owners_[pid].owned : 0;
 }
 
+void BufferCache::restore(BufferCache&& saved, const CacheMetrics& metrics) {
+  CacheMetrics* const sink = metrics_;
+  *this = std::move(saved);
+  *sink = metrics;
+}
+
+std::vector<BlockRun> BufferCache::resident_runs() const {
+  std::vector<std::uint64_t> keys;
+  for (const Block& block : pool_) {
+    if (block.live) keys.push_back(block.key);
+  }
+  std::sort(keys.begin(), keys.end());
+  std::vector<BlockRun> runs;
+  for (const std::uint64_t key : keys) {
+    const BlockRun& last = runs.empty() ? BlockRun{} : runs.back();
+    if (!runs.empty() && last.file == file_of(key) &&
+        last.first_block + last.count == block_of(key)) {
+      ++runs.back().count;
+    } else {
+      runs.push_back({file_of(key), block_of(key), 1});
+    }
+  }
+  return runs;
+}
+
 std::uint32_t BufferCache::find_slot(std::uint64_t key) const {
   const std::uint32_t* slot = index_.find(key);
   return slot != nullptr ? *slot : kNil;
@@ -172,20 +197,34 @@ void BufferCache::free_slot(std::uint32_t slot) {
   free_head_ = slot;
 }
 
-bool BufferCache::can_allocate(std::int64_t need, std::uint32_t pid) const {
+bool BufferCache::can_allocate(std::int64_t need, std::uint32_t pid, std::int64_t leaving,
+                               std::int64_t own_leaving) const {
   if (need <= 0) return true;
-  if (need > free_blocks() + clean_count_) return false;
+  if (need > free_blocks() + clean_count_ - leaving) return false;
   if (cap_blocks_per_process_ > 0) {
     // Over the cap, the process must be able to evict enough of its own
     // clean blocks to stay within its allowance.
     const Owner& own = owners_[pid];
-    if (own.owned + need - own.clean > cap_blocks_per_process_) return false;
+    if (own.owned + need - (own.clean - own_leaving) > cap_blocks_per_process_) return false;
   }
   return true;
 }
 
-void BufferCache::evict_one(std::uint32_t prefer_owner) {
-  assert(lru_head_ != kNil);
+bool BufferCache::room_is_certain(std::int64_t need, std::uint32_t pid,
+                                  std::int64_t present_clean) const {
+  // Every eviction and every clean block the plan dirties or re-fetches
+  // takes one block off the clean list; the plan makes at most
+  // need + present_clean of them, and only need + present_clean - free
+  // unless the owner can pass its cap (then each insert may evict).
+  const std::int64_t worst = need + present_clean;
+  if (worst <= clean_count_) return true;
+  const bool cap_reachable =
+      cap_blocks_per_process_ > 0 && owners_[pid].owned + worst > cap_blocks_per_process_;
+  return !cap_reachable && worst <= free_blocks() + clean_count_;
+}
+
+bool BufferCache::evict_one(std::uint32_t prefer_owner) {
+  if (lru_head_ == kNil) return false;
   // The owner's clean-list head is its least-recently-used clean block,
   // the first of its blocks a walk of the clean LRU would meet.
   std::uint32_t victim = lru_head_;
@@ -200,6 +239,7 @@ void BufferCache::evict_one(std::uint32_t prefer_owner) {
   free_slot(victim);
   --live_count_;
   ++metrics_->evictions;
+  return true;
 }
 
 std::uint32_t BufferCache::insert_block(std::uint64_t key, State state, std::uint32_t pid,
@@ -208,7 +248,7 @@ std::uint32_t BufferCache::insert_block(std::uint64_t key, State state, std::uin
   if (cap_blocks_per_process_ > 0 && owners_[pid].owned + 1 > cap_blocks_per_process_) {
     prefer = pid;  // stay within the allowance by evicting our own blocks
   }
-  if (free_blocks() == 0 || prefer != 0) evict_one(prefer);
+  if ((free_blocks() == 0 || prefer != 0) && !evict_one(prefer)) return kNil;
 
   std::uint32_t slot;
   if (free_head_ != kNil) {
@@ -285,13 +325,28 @@ BufferCache::ReadPlan BufferCache::plan_read(std::uint32_t pid, std::uint32_t fi
 
   // Pass 1 (no mutation): classify blocks.
   std::int64_t missing = 0;
+  std::int64_t present_clean = 0;
   for (std::int64_t b = b0; b < b1; ++b) {
-    if (!index_.contains(key_of(file, b))) ++missing;
+    const std::uint32_t slot = find_slot(key_of(file, b));
+    if (slot == kNil) {
+      ++missing;
+    } else if (pool_[slot].state == State::kClean) {
+      ++present_clean;
+    }
   }
   if (missing > 0 && !can_allocate(missing, pid)) {
     plan.space_wait = true;
     --metrics_->read_requests;  // the retry will count it
     return plan;
+  }
+  // An insert can evict a later, not yet visited block of this very read,
+  // which is then re-fetched and needs one more eviction. When that could
+  // empty the clean list, keep a copy to undo the plan with.
+  std::optional<BufferCache> undo;
+  CacheMetrics undo_metrics;
+  if (missing > 0 && !room_is_certain(missing, pid, present_clean)) {
+    undo.emplace(*this);
+    undo_metrics = *metrics_;
   }
 
   // Pass 2: touch hits, join in-flight fetches, insert missing as Fetching.
@@ -304,8 +359,15 @@ BufferCache::ReadPlan BufferCache::plan_read(std::uint32_t pid, std::uint32_t fi
                                plan.fetch_runs.back().file == file &&
                                plan.fetch_runs.back().first_block + plan.fetch_runs.back().count == b;
       if (!extends_run) plan.fetch_runs.push_back({file, b, 0});
-      insert_block(key, State::kFetching, pid,
-                   first_op_id + plan.fetch_runs.size() - 1, /*from_readahead=*/false);
+      if (insert_block(key, State::kFetching, pid, first_op_id + plan.fetch_runs.size() - 1,
+                       /*from_readahead=*/false) == kNil) {
+        assert(undo.has_value());
+        restore(std::move(*undo), undo_metrics);
+        ReadPlan wait;
+        wait.space_wait = true;
+        --metrics_->read_requests;
+        return wait;
+      }
       ++plan.fetch_runs.back().count;
       continue;
     }
@@ -366,15 +428,40 @@ BufferCache::WritePlan BufferCache::plan_write(std::uint32_t pid, std::uint32_t 
     return plan;
   }
 
+  // Pass 1 (no mutation): count the missing blocks, and the present Clean
+  // ones the write takes off the clean list (`leaving`; `own_leaving` of
+  // them are pid's), which no insert of this write can evict.
   std::int64_t missing = 0;
+  std::int64_t leaving = 0;
+  std::int64_t own_leaving = 0;
   for (std::int64_t b = b0; b < b1; ++b) {
-    if (!index_.contains(key_of(file, b))) ++missing;
+    const std::uint32_t slot = find_slot(key_of(file, b));
+    if (slot == kNil) {
+      ++missing;
+    } else if (pool_[slot].state == State::kClean) {
+      ++leaving;
+      if (pool_[slot].owner == pid) ++own_leaving;
+    }
   }
-  if (missing > 0 && !can_allocate(missing, pid)) {
+  if (missing > 0 && !can_allocate(missing, pid, leaving, own_leaving)) {
     plan.space_wait = true;
     --metrics_->write_requests;
     return plan;
   }
+  std::optional<BufferCache> undo;
+  CacheMetrics undo_metrics;
+  if (missing > 0 && !room_is_certain(missing, pid, leaving)) {
+    undo.emplace(*this);
+    undo_metrics = *metrics_;
+  }
+  auto ran_dry = [&] {
+    assert(undo.has_value());
+    restore(std::move(*undo), undo_metrics);
+    WritePlan wait;
+    wait.space_wait = true;
+    --metrics_->write_requests;
+    return wait;
+  };
 
   if (write_behind) {
     for (std::int64_t b = b0; b < b1; ++b) {
@@ -383,6 +470,7 @@ BufferCache::WritePlan BufferCache::plan_write(std::uint32_t pid, std::uint32_t 
       if (slot == kNil) {
         const std::uint32_t fresh =
             insert_block(key, State::kDirty, pid, op_id, /*from_readahead=*/false);
+        if (fresh == kNil) return ran_dry();
         pool_[fresh].dirty_since = now;
       } else {
         Block& block = pool_[slot];
@@ -398,7 +486,9 @@ BufferCache::WritePlan BufferCache::plan_write(std::uint32_t pid, std::uint32_t 
       const std::uint64_t key = key_of(file, b);
       const std::uint32_t slot = find_slot(key);
       if (slot == kNil) {
-        insert_block(key, State::kFlushing, pid, op_id, /*from_readahead=*/false);
+        if (insert_block(key, State::kFlushing, pid, op_id, /*from_readahead=*/false) == kNil) {
+          return ran_dry();
+        }
       } else {
         Block& block = pool_[slot];
         switch (block.state) {
@@ -450,6 +540,8 @@ std::optional<BlockRun> BufferCache::try_issue_readahead(std::uint32_t pid,
     }
   }
   if (!can_allocate(candidate.count, pid)) return std::nullopt;
+  // An all-absent insert never evicts its own blocks, so can_allocate is
+  // exact here and no insert can fail.
   for (std::int64_t i = 0; i < candidate.count; ++i) {
     insert_block(key_of(candidate.file, candidate.first_block + i), State::kFetching, pid, op_id,
                  /*from_readahead=*/true);

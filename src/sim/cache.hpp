@@ -124,6 +124,9 @@ class BufferCache {
   [[nodiscard]] std::int64_t capacity_blocks() const { return capacity_blocks_; }
   [[nodiscard]] std::int64_t resident_blocks() const { return live_count_; }
   [[nodiscard]] std::int64_t owned_blocks(std::uint32_t pid) const;
+  /// Every resident block, in any state, as maximal runs in ascending
+  /// (file, block) order. For tests and diagnostics.
+  [[nodiscard]] std::vector<BlockRun> resident_runs() const;
 
   /// Walks every list and the index and checks the bookkeeping against the
   /// counters. Returns an empty string when consistent, else a description
@@ -164,14 +167,25 @@ class BufferCache {
   }
 
   [[nodiscard]] std::int64_t free_blocks() const { return capacity_blocks_ - live_count_; }
-  /// Can `need` new blocks be produced (free + evictable clean)?
-  [[nodiscard]] bool can_allocate(std::int64_t need, std::uint32_t pid) const;
+  /// Can `need` new blocks be produced (free + evictable clean)? `leaving`
+  /// present Clean blocks (`own_leaving` of them pid's) leave the clean
+  /// list during the same plan, so they cannot be evicted to make room.
+  [[nodiscard]] bool can_allocate(std::int64_t need, std::uint32_t pid, std::int64_t leaving = 0,
+                                  std::int64_t own_leaving = 0) const;
+  /// True when a plan inserting `need` blocks over `present_clean` present
+  /// Clean ones can never find the clean list empty when it must evict.
+  [[nodiscard]] bool room_is_certain(std::int64_t need, std::uint32_t pid,
+                                     std::int64_t present_clean) const;
+  /// Rolls back a plan that ran out of evictable blocks.
+  void restore(BufferCache&& saved, const CacheMetrics& metrics);
   /// Makes room for one block (evicting the LRU clean block if needed) and
-  /// inserts it; returns the slot. Pre-condition: can_allocate held for the
-  /// whole batch.
+  /// inserts it; returns the slot, or kNil when no clean block was left to
+  /// evict (nothing is inserted then).
   std::uint32_t insert_block(std::uint64_t key, State state, std::uint32_t pid,
                              std::uint64_t op_id, bool from_readahead);
-  void evict_one(std::uint32_t prefer_owner);
+  /// Evicts the owner's or the global LRU clean block; false when the clean
+  /// list is empty.
+  bool evict_one(std::uint32_t prefer_owner);
   /// Looks up a live block slot; kNil when absent.
   [[nodiscard]] std::uint32_t find_slot(std::uint64_t key) const;
   void touch_clean(Block& block);

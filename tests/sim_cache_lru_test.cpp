@@ -164,6 +164,66 @@ TEST(CacheLruRegressionTest, CappedOwnerEvictsItsOwnOldestCleanBlocksFirst) {
   EXPECT_EQ(cache.check_invariants(), "");
 }
 
+TEST(CacheLruRegressionTest, WriteBehindOverItsOwnCleanBlocksWaitsForSpace) {
+  CacheParams params = small_cache(16);
+  params.write_behind = true;
+  CacheMetrics metrics;
+  BufferCache cache(params, metrics);
+
+  // 8 dirty blocks of file 11, then blocks 0-7 of file 10 read and fetched:
+  // the cache is full, and its only clean blocks are file 10's.
+  const auto dirty = cache.plan_write(1, 11, 0, 8 * cache.block_size(), 1, true);
+  ASSERT_TRUE(dirty.absorbed);
+  for (std::int64_t b = 0; b < 8; ++b) {
+    read_block(cache, 1, 10, b, static_cast<std::uint64_t>(10 + b));
+  }
+  ASSERT_EQ(cache.check_invariants(), "");
+  ASSERT_EQ(cache.clean_block_count(), 8);
+
+  // Writing file 10 blocks 0-8 dirties the 8 clean blocks it needs to evict
+  // for block 8: nothing is left to evict, so it must wait for a flush.
+  const auto plan = cache.plan_write(1, 10, 0, 9 * cache.block_size(), 20, true);
+  EXPECT_TRUE(plan.space_wait);
+  EXPECT_FALSE(plan.absorbed);
+  EXPECT_EQ(cache.check_invariants(), "");
+  EXPECT_EQ(cache.clean_block_count(), 8);
+  EXPECT_EQ(cache.dirty_block_count(), 8);
+  EXPECT_EQ(metrics.write_requests, 1);
+  EXPECT_EQ(metrics.evictions, 0);
+}
+
+TEST(CacheLruRegressionTest, ReadThatEvictsItsOwnHitsWaitsForSpace) {
+  CacheParams params = small_cache(4);
+  params.write_behind = true;
+  CacheMetrics metrics;
+  BufferCache cache(params, metrics);
+
+  // Two dirty blocks, one clean block (file 10 block 2), one free block.
+  ASSERT_TRUE(cache.plan_write(1, 11, 0, 2 * cache.block_size(), 1, true).absorbed);
+  read_block(cache, 1, 10, 2, 2);
+  ASSERT_EQ(cache.check_invariants(), "");
+
+  // Reading blocks 0-2 finds 2 missing blocks and room for 2. Block 0 takes
+  // the free block, block 1 evicts the only clean block, block 2 itself,
+  // and block 2's re-fetch then has nothing left to evict. The plan is
+  // undone and waits for space.
+  const auto plan = cache.plan_read(1, 10, 0, 3 * cache.block_size(), 3);
+  EXPECT_TRUE(plan.space_wait);
+  EXPECT_TRUE(plan.fetch_runs.empty());
+  EXPECT_EQ(cache.check_invariants(), "");
+  EXPECT_EQ(cache.resident_blocks(), 3);
+  EXPECT_EQ(cache.clean_block_count(), 1);
+  EXPECT_EQ(metrics.evictions, 0);
+  EXPECT_EQ(metrics.read_requests, 1);
+  EXPECT_EQ(metrics.read_full_hits + metrics.read_partial_hits + metrics.read_misses, 1);
+
+  // After the dirty blocks are flushed the same read fits.
+  for (const auto& run : cache.collect_flush_batch(100)) cache.flush_complete(run);
+  const auto retry = cache.plan_read(1, 10, 0, 3 * cache.block_size(), 4);
+  EXPECT_FALSE(retry.space_wait);
+  EXPECT_EQ(cache.check_invariants(), "");
+}
+
 // ---------------------------------------------------------------------------
 // Recorded-script digest: every observable output of a 6000-step mixed
 // workload, digested. The constants were captured from the seed
