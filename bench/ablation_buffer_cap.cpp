@@ -70,5 +70,5 @@ int main(int argc, char** argv) {
   bench::check(util_worst_capped <= util_uncapped + 0.005,
                "ownership caps do not improve utilization (and can worsen it)");
 
-  return sweep.finish(results);
+  return bench::exit_status(sweep.finish(results));
 }

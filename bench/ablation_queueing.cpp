@@ -68,5 +68,5 @@ int main(int argc, char** argv) {
   bench::check(wall_queue1 > wall_paper * 1.05,
                "single-disk FIFO queueing slows the workload vs the paper's optimistic model");
 
-  return sweep.finish(results, {.trace_point = 2});  // FIFO queueing, 4 disks
+  return bench::exit_status(sweep.finish(results, {.trace_point = 2}));  // FIFO queueing, 4 disks
 }

@@ -69,5 +69,5 @@ int main(int argc, char** argv) {
   bench::check(idle_no_wb / std::max(idle_wb, 0.5) > 20.0,
                "write-behind removes the overwhelming majority of idle time");
 
-  return sweep.finish(results);
+  return bench::exit_status(sweep.finish(results));
 }

@@ -39,5 +39,5 @@ int main() {
   bench::check(seq_ok, "file accesses are highly sequential (>80% in every application)");
   bench::check(size_ok, "request sizes are essentially constant within each stream");
   bench::check(conc_ok, "a small number of files carries the vast majority of bytes");
-  return 0;
+  return bench::exit_status();
 }

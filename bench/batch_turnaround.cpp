@@ -83,5 +83,5 @@ int main() {
 
   bench::check(small_ta < large_ta / 1.5,
                "the small-memory variant turns around much faster on a busy machine");
-  return 0;
+  return bench::exit_status();
 }

@@ -59,8 +59,23 @@ inline void print_rate_figure(std::span<const double> bytes_per_s, const std::st
   }
 }
 
+/// Set once any claim line of this bench printed [DIVERGED].
+inline bool& claim_diverged() {
+  static bool diverged = false;
+  return diverged;
+}
+
+/// Prints a claim line and records a divergence for exit_status().
 inline void check(bool condition, const std::string& claim) {
   std::printf("[%s] %s\n", condition ? "REPRODUCED" : "DIVERGED", claim.c_str());
+  if (!condition) claim_diverged() = true;
+}
+
+/// A bench's exit status: `status` (nonzero on an artifact or run failure),
+/// or 1 when any check() diverged, so a claim that fails to reproduce fails
+/// the run.
+[[nodiscard]] inline int exit_status(int status = 0) {
+  return status != 0 || claim_diverged() ? 1 : 0;
 }
 
 /// Consumes a "<flag> <value>" pair from the argument list (any position) and

@@ -119,5 +119,5 @@ int main(int argc, char** argv) {
   bench::check(change < 0.25,
                "supercomputer case: delaying writes barely changes disk traffic (data "
                "must go to disk anyway)");
-  return sweep.finish(results);
+  return bench::exit_status(sweep.finish(results));
 }

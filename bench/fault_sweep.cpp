@@ -160,5 +160,5 @@ int main(int argc, char** argv) {
 
   // --perfetto re-runs the 5% point; --metrics publishes the 10% one.
   const int status = sweep.finish(disk_results, {.trace_point = 2, .metrics_point = 3});
-  return status != 0 || !(accounting_ok && fidelity_ok && survived_ok) ? 1 : 0;
+  return bench::exit_status(status);
 }

@@ -32,5 +32,5 @@ int main() {
   bench::check(mean > 35 && mean < 55, "mean data rate ~44 MB per CPU second");
   bench::check(peak > 70 && peak < 140, "bursts reach ~100 MB per CPU second");
   bench::check(analysis::peak_to_mean(mb) > 1.5, "demand is bursty, not smooth");
-  return 0;
+  return bench::exit_status();
 }

@@ -31,5 +31,5 @@ int main() {
   bench::check(mean > 40 && mean < 60, "mean data rate ~49.8 MB per CPU second");
   bench::check(analysis::peak_to_mean(mb) > 1.4, "per-cycle bursts stand well above the mean");
   bench::check(mb.size() >= 140 && mb.size() <= 155, "run spans ~146 CPU seconds");
-  return 0;
+  return bench::exit_status();
 }

@@ -46,5 +46,5 @@ int main(int argc, char** argv) {
   bench::check(result.cpu_idle > Ticks::from_seconds(5),
                "a 32 MB main-memory cache leaves real CPU idle time for 2 x venus");
 
-  return sweep.finish(results);
+  return bench::exit_status(sweep.finish(results));
 }

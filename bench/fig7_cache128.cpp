@@ -50,5 +50,5 @@ int main(int argc, char** argv) {
   bench::check(result.cpu_idle < Ticks::from_seconds(10),
                "2 x venus runs with little or no idle time in a 128 MB cache");
 
-  return sweep.finish(results);
+  return bench::exit_status(sweep.finish(results));
 }

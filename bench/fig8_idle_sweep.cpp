@@ -83,5 +83,5 @@ int main(int argc, char** argv) {
   bench::check(idle_small_4k > 20.0 * std::max(idle_big_4k, 0.5),
                "idle time falls by orders of magnitude across the sweep");
 
-  return sweep.finish(results, {.trace_point = 6});  // 32 MB / 4K
+  return bench::exit_status(sweep.finish(results, {.trace_point = 6}));  // 32 MB / 4K
 }

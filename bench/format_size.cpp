@@ -49,5 +49,5 @@ int main() {
                "variable-length ASCII is smaller than the fixed struct dump for every trace");
   bench::check(compressed_beats_ascii == total,
                "extension: compression-aware binary is smaller still");
-  return 0;
+  return bench::exit_status();
 }

@@ -55,5 +55,5 @@ int main() {
   bench::check(swap > 23.0 && swap < 26.0, "data-swapping example computes to ~24-25 MB/s");
   bench::check(swapping == 5 && required_only == 2,
                "five applications swap data each iteration; gcm and upw do only required I/O");
-  return 0;
+  return bench::exit_status();
 }

@@ -93,5 +93,5 @@ int main(int argc, char** argv) {
                                {"parallel_s", parallel_s},
                                {"speedup", speedup}});
   }
-  return identical ? 0 : 1;
+  return bench::exit_status();
 }

@@ -97,5 +97,5 @@ int main(int argc, char** argv) {
               " utilization\n", ccm_n1);
   bench::check(ccm_n1 < 95.0,
                "the rule fails for identical I/O-intensive jobs, motivating Section 6");
-  return sweep.finish(results);
+  return bench::exit_status(sweep.finish(results));
 }

@@ -104,7 +104,7 @@ int main(int argc, char** argv) {
   bench::check(policies_help, "enabling both policies never costs meaningful utilization");
 
   // --perfetto and --metrics describe venus RA+WB (point 24).
-  return sweep.finish(results,
-                      {.trace_point = 24, .metrics_point = 24, .metrics_prefix = "sim.venus",
-                       .phases = true});
+  return bench::exit_status(
+      sweep.finish(results, {.trace_point = 24, .metrics_point = 24,
+                             .metrics_prefix = "sim.venus", .phases = true}));
 }

@@ -65,5 +65,5 @@ int main(int argc, char** argv) {
 
   bench::check(above_99 >= total - 1,
                "all applications but at most one exceed 99% CPU utilization on the SSD");
-  return sweep.finish(results);
+  return bench::exit_status(sweep.finish(results));
 }

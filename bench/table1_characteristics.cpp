@@ -41,5 +41,5 @@ int main() {
     }
   }
   bench::check(all_ok, "per-application aggregate data rates match Table 1");
-  return all_ok ? 0 : 1;
+  return bench::exit_status();
 }

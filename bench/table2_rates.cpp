@@ -44,5 +44,5 @@ int main() {
   bench::check(heavy_ok, "I/O-heavy programs re-read data: R/W ratio >= 1");
   bench::check(forma.read_write_ratio() > 8.0,
                "forma re-reads its sparse blocks many times (R/W ~ 11)");
-  return 0;
+  return bench::exit_status();
 }

@@ -60,5 +60,5 @@ int main() {
 
   bench::check(overhead_ok, "tracing overhead is below 20% of I/O system call time");
   bench::check(roundtrip_ok, "packet logs reconstruct exactly to the original stream");
-  return 0;
+  return bench::exit_status();
 }
