@@ -15,6 +15,26 @@ std::int64_t end_block_of(Bytes offset, Bytes length, Bytes block_size) {
   return (offset + length + block_size - 1) / block_size;
 }
 
+/// Appends `count` blocks starting at `first` to `runs`, extending the last
+/// run while it is contiguous and shorter than `max_run` (<= 0: unlimited).
+void append_run(std::vector<BlockRun>& runs, std::uint32_t file, std::int64_t first,
+                std::int64_t count, std::int64_t max_run) {
+  while (count > 0) {
+    std::int64_t add;
+    if (!runs.empty() && runs.back().file == file &&
+        runs.back().first_block + runs.back().count == first &&
+        (max_run <= 0 || runs.back().count < max_run)) {
+      add = max_run <= 0 ? count : std::min(count, max_run - runs.back().count);
+      runs.back().count += add;
+    } else {
+      add = max_run <= 0 ? count : std::min(count, max_run);
+      runs.push_back({file, first, add});
+    }
+    first += add;
+    count -= add;
+  }
+}
+
 }  // namespace
 
 BufferCache::BufferCache(const CacheParams& params, CacheMetrics& metrics)
@@ -29,14 +49,19 @@ BufferCache::BufferCache(const CacheParams& params, CacheMetrics& metrics)
   if (params_.per_process_cap > 0 && cap_blocks_per_process_ == 0) {
     throw ConfigError("per-process cap smaller than one block");
   }
-  const auto prealloc =
-      static_cast<std::size_t>(std::min<std::int64_t>(capacity_blocks_, 1 << 16));
-  pool_.reserve(prealloc);
-  index_.reserve(prealloc);
 }
 
 std::int64_t BufferCache::owned_blocks(std::uint32_t pid) const {
   return pid < owners_.size() ? owners_[pid].owned : 0;
+}
+
+std::vector<BlockRun> BufferCache::resident_runs() const {
+  std::vector<BlockRun> runs;
+  for (const auto& [key, slot] : index_) {
+    const Extent& e = pool_[slot];
+    append_run(runs, e.file, e.first, e.count, 0);
+  }
+  return runs;
 }
 
 void BufferCache::restore(BufferCache&& saved, const CacheMetrics& metrics) {
@@ -45,156 +70,261 @@ void BufferCache::restore(BufferCache&& saved, const CacheMetrics& metrics) {
   *sink = metrics;
 }
 
-std::vector<BlockRun> BufferCache::resident_runs() const {
-  std::vector<std::uint64_t> keys;
-  for (const Block& block : pool_) {
-    if (block.live) keys.push_back(block.key);
-  }
-  std::sort(keys.begin(), keys.end());
-  std::vector<BlockRun> runs;
-  for (const std::uint64_t key : keys) {
-    const BlockRun& last = runs.empty() ? BlockRun{} : runs.back();
-    if (!runs.empty() && last.file == file_of(key) &&
-        last.first_block + last.count == block_of(key)) {
-      ++runs.back().count;
-    } else {
-      runs.push_back({file_of(key), block_of(key), 1});
-    }
-  }
-  return runs;
+std::uint32_t BufferCache::find(std::uint32_t file, std::int64_t block, std::int64_t limit,
+                                std::int64_t& gap_end) const {
+  const auto it = seek(file, block);
+  gap_end = limit;
+  if (it == index_.end() || file_of(it->first) != file) return kNil;
+  const Extent& e = pool_[it->second];
+  if (e.first <= block) return it->second;
+  gap_end = std::min(limit, e.first);
+  return kNil;
 }
 
-std::uint32_t BufferCache::find_slot(std::uint64_t key) const {
-  const std::uint32_t* slot = index_.find(key);
-  return slot != nullptr ? *slot : kNil;
-}
-
-void BufferCache::lru_push_back(std::uint32_t slot) {
-  Block& block = pool_[slot];
-  block.lru_prev = lru_tail_;
-  block.lru_next = kNil;
-  if (lru_tail_ != kNil) {
-    pool_[lru_tail_].lru_next = slot;
+std::uint32_t BufferCache::alloc_slot() {
+  std::uint32_t slot;
+  if (free_head_ != kNil) {
+    slot = free_head_;
+    free_head_ = pool_[slot].next;
   } else {
-    lru_head_ = slot;
+    slot = static_cast<std::uint32_t>(pool_.size());
+    pool_.emplace_back();
   }
-  lru_tail_ = slot;
-  ++clean_count_;
+  pool_[slot] = Extent{};
+  pool_[slot].live = true;
+  return slot;
+}
+
+void BufferCache::erase_extent(std::uint32_t slot) {
+  Extent& e = pool_[slot];
+  index_.erase(key_of(e.file, e.end() - 1));
+  e.live = false;
+  e.prev = kNil;
+  e.next = free_head_;  // the free list threads through next
+  free_head_ = slot;
+}
+
+void BufferCache::clean_push_back(std::uint32_t slot) {
+  Extent& e = pool_[slot];
+  e.prev = clean_tail_;
+  e.next = kNil;
+  if (clean_tail_ != kNil) {
+    pool_[clean_tail_].next = slot;
+  } else {
+    clean_head_ = slot;
+  }
+  clean_tail_ = slot;
+  clean_count_ += e.count;
   if (cap_blocks_per_process_ > 0) {
-    Owner& own = owners_[block.owner];
-    block.own_prev = own.clean_tail;
-    block.own_next = kNil;
+    Owner& own = owners_[e.owner];
+    e.own_prev = own.clean_tail;
+    e.own_next = kNil;
     if (own.clean_tail != kNil) {
       pool_[own.clean_tail].own_next = slot;
     } else {
       own.clean_head = slot;
     }
     own.clean_tail = slot;
-    ++own.clean;
+    own.clean += e.count;
+  }
+  // The previous MRU extent is also its owner's MRU extent; when it ends
+  // where this one starts, the two age as one run.
+  const std::uint32_t prev = e.prev;
+  if (prev != kNil) {
+    const Extent& p = pool_[prev];
+    if (p.file == e.file && p.end() == e.first && p.owner == e.owner &&
+        p.from_readahead == e.from_readahead) {
+      absorb(prev, slot);
+    }
   }
 }
 
-void BufferCache::lru_unlink(std::uint32_t slot) {
-  Block& block = pool_[slot];
-  if (block.lru_prev != kNil) {
-    pool_[block.lru_prev].lru_next = block.lru_next;
+void BufferCache::clean_unlink(std::uint32_t slot) {
+  Extent& e = pool_[slot];
+  if (e.prev != kNil) {
+    pool_[e.prev].next = e.next;
   } else {
-    lru_head_ = block.lru_next;
+    clean_head_ = e.next;
   }
-  if (block.lru_next != kNil) {
-    pool_[block.lru_next].lru_prev = block.lru_prev;
+  if (e.next != kNil) {
+    pool_[e.next].prev = e.prev;
   } else {
-    lru_tail_ = block.lru_prev;
+    clean_tail_ = e.prev;
   }
-  block.lru_prev = kNil;
-  block.lru_next = kNil;
-  --clean_count_;
+  e.prev = kNil;
+  e.next = kNil;
+  clean_count_ -= e.count;
   if (cap_blocks_per_process_ > 0) {
-    Owner& own = owners_[block.owner];
-    if (block.own_prev != kNil) {
-      pool_[block.own_prev].own_next = block.own_next;
+    Owner& own = owners_[e.owner];
+    if (e.own_prev != kNil) {
+      pool_[e.own_prev].own_next = e.own_next;
     } else {
-      own.clean_head = block.own_next;
+      own.clean_head = e.own_next;
     }
-    if (block.own_next != kNil) {
-      pool_[block.own_next].own_prev = block.own_prev;
+    if (e.own_next != kNil) {
+      pool_[e.own_next].own_prev = e.own_prev;
     } else {
-      own.clean_tail = block.own_prev;
+      own.clean_tail = e.own_prev;
     }
-    block.own_prev = kNil;
-    block.own_next = kNil;
-    --own.clean;
+    e.own_prev = kNil;
+    e.own_next = kNil;
+    own.clean -= e.count;
   }
 }
 
 void BufferCache::dirty_link(std::uint32_t slot) {
-  Block& block = pool_[slot];
-  const std::uint64_t key = block.key;
-  // Find the dirty block to insert after (kNil = new head). Keys are unique
-  // (a block links here only on its transition into Dirty), so strict
-  // comparisons suffice.
+  const auto key = [this](std::uint32_t s) { return key_of(pool_[s].file, pool_[s].first); };
+  const std::uint64_t k = key(slot);
+  // Find the dirty extent to insert after (kNil = new head). Extents do not
+  // overlap, so keys are unique and strict comparisons suffice.
   std::uint32_t after;
-  if (dirty_tail_ == kNil || key > pool_[dirty_tail_].key) {
+  if (dirty_tail_ == kNil || k > key(dirty_tail_)) {
     after = dirty_tail_;  // appending writes: O(1)
-  } else if (key < pool_[dirty_head_].key) {
+  } else if (k < key(dirty_head_)) {
     after = kNil;
   } else if (dirty_hint_ != kNil) {
-    // Walk from the previous insertion point — neighbors of the last write
+    // Walk from the previous insertion point — neighbours of the last write
     // (the locality case) are a step or two away.
     after = dirty_hint_;
-    if (pool_[after].key < key) {
-      while (pool_[after].lru_next != kNil && pool_[pool_[after].lru_next].key < key) {
-        after = pool_[after].lru_next;
-      }
+    if (key(after) < k) {
+      while (pool_[after].next != kNil && key(pool_[after].next) < k) after = pool_[after].next;
     } else {
-      while (after != kNil && pool_[after].key > key) after = pool_[after].lru_prev;
+      while (after != kNil && key(after) > k) after = pool_[after].prev;
     }
   } else {
     after = dirty_tail_;
-    while (after != kNil && pool_[after].key > key) after = pool_[after].lru_prev;
+    while (after != kNil && key(after) > k) after = pool_[after].prev;
   }
 
-  block.lru_prev = after;
+  Extent& e = pool_[slot];
+  e.prev = after;
   if (after == kNil) {
-    block.lru_next = dirty_head_;
+    e.next = dirty_head_;
     dirty_head_ = slot;
   } else {
-    block.lru_next = pool_[after].lru_next;
-    pool_[after].lru_next = slot;
+    e.next = pool_[after].next;
+    pool_[after].next = slot;
   }
-  if (block.lru_next != kNil) {
-    pool_[block.lru_next].lru_prev = slot;
+  if (e.next != kNil) {
+    pool_[e.next].prev = slot;
   } else {
     dirty_tail_ = slot;
   }
-  dirty_hint_ = slot;
-  ++dirty_count_;
+  dirty_count_ += e.count;
+  dirty_hint_ = dirty_coalesce(slot);
 }
 
 void BufferCache::dirty_unlink(std::uint32_t slot) {
-  Block& block = pool_[slot];
-  if (dirty_hint_ == slot) dirty_hint_ = block.lru_prev;
-  if (block.lru_prev != kNil) {
-    pool_[block.lru_prev].lru_next = block.lru_next;
+  Extent& e = pool_[slot];
+  if (dirty_hint_ == slot) dirty_hint_ = e.prev;
+  if (e.prev != kNil) {
+    pool_[e.prev].next = e.next;
   } else {
-    dirty_head_ = block.lru_next;
+    dirty_head_ = e.next;
   }
-  if (block.lru_next != kNil) {
-    pool_[block.lru_next].lru_prev = block.lru_prev;
+  if (e.next != kNil) {
+    pool_[e.next].prev = e.prev;
   } else {
-    dirty_tail_ = block.lru_prev;
+    dirty_tail_ = e.prev;
   }
-  block.lru_prev = kNil;
-  block.lru_next = kNil;
-  --dirty_count_;
+  e.prev = kNil;
+  e.next = kNil;
+  dirty_count_ -= e.count;
 }
 
-void BufferCache::free_slot(std::uint32_t slot) {
-  Block& block = pool_[slot];
-  block.live = false;
-  block.lru_prev = kNil;
-  block.lru_next = free_head_;  // free list threads through lru_next
-  free_head_ = slot;
+std::uint32_t BufferCache::dirty_coalesce(std::uint32_t slot) {
+  const auto continues = [this](std::uint32_t left, std::uint32_t right) {
+    const Extent& l = pool_[left];
+    const Extent& r = pool_[right];
+    return l.file == r.file && l.end() == r.first && l.owner == r.owner &&
+           l.dirty_since == r.dirty_since;
+  };
+  const std::uint32_t prev = pool_[slot].prev;
+  if (prev != kNil && continues(prev, slot)) absorb(prev, slot);
+  const std::uint32_t next = pool_[slot].next;
+  if (next != kNil && continues(slot, next)) {
+    absorb(slot, next);
+    return next;
+  }
+  return slot;
+}
+
+void BufferCache::absorb(std::uint32_t left, std::uint32_t right) {
+  const std::int64_t n = pool_[left].count;
+  const bool clean = pool_[left].state == State::kClean;
+  if (clean) {
+    clean_unlink(left);
+  } else {
+    dirty_unlink(left);
+  }
+  erase_extent(left);
+  Extent& r = pool_[right];
+  r.first -= n;
+  r.count += n;
+  if (clean) {
+    clean_count_ += n;
+    if (cap_blocks_per_process_ > 0) owners_[r.owner].clean += n;
+  } else {
+    dirty_count_ += n;
+  }
+}
+
+std::uint32_t BufferCache::split_before(std::uint32_t slot, std::int64_t at) {
+  const std::uint32_t left = alloc_slot();
+  Extent& e = pool_[slot];
+  Extent& l = pool_[left];
+  l = e;
+  l.count = at - e.first;
+  e.first = at;
+  e.count -= l.count;
+  index_.emplace(key_of(l.file, at - 1), left);
+  // The left part takes the extent's place in its list, just before it: its
+  // blocks are the older ones of a clean extent and the lower keys of a
+  // dirty one.
+  if (e.state == State::kClean || e.state == State::kDirty) {
+    l.next = slot;
+    if (e.prev != kNil) {
+      pool_[e.prev].next = left;
+    } else if (e.state == State::kClean) {
+      clean_head_ = left;
+    } else {
+      dirty_head_ = left;
+    }
+    e.prev = left;
+  }
+  if (e.state == State::kClean && cap_blocks_per_process_ > 0) {
+    l.own_next = slot;
+    if (e.own_prev != kNil) {
+      pool_[e.own_prev].own_next = left;
+    } else {
+      owners_[e.owner].clean_head = left;
+    }
+    e.own_prev = left;
+  }
+  return left;
+}
+
+std::uint32_t BufferCache::isolate(std::uint32_t slot, std::int64_t first, std::int64_t end) {
+  if (pool_[slot].first < first) split_before(slot, first);
+  if (pool_[slot].end() > end) return split_before(slot, end);
+  return slot;
+}
+
+void BufferCache::insert_extent(std::uint32_t file, std::int64_t first, std::int64_t count,
+                                State state, std::uint32_t owner, std::uint64_t op_id,
+                                bool from_readahead, Ticks dirty_since) {
+  const std::uint32_t slot = alloc_slot();
+  Extent& e = pool_[slot];
+  e.file = file;
+  e.first = first;
+  e.count = count;
+  e.state = state;
+  e.owner = owner;
+  e.op_id = op_id;
+  e.from_readahead = from_readahead;
+  e.dirty_since = dirty_since;
+  index_.emplace(key_of(file, first + count - 1), slot);
+  if (state == State::kDirty) dirty_link(slot);
 }
 
 bool BufferCache::can_allocate(std::int64_t need, std::uint32_t pid, std::int64_t leaving,
@@ -223,88 +353,56 @@ bool BufferCache::room_is_certain(std::int64_t need, std::uint32_t pid,
   return !cap_reachable && worst <= free_blocks() + clean_count_;
 }
 
-bool BufferCache::evict_one(std::uint32_t prefer_owner) {
-  if (lru_head_ == kNil) return false;
-  // The owner's clean-list head is its least-recently-used clean block,
-  // the first of its blocks a walk of the clean LRU would meet.
-  std::uint32_t victim = lru_head_;
-  if (prefer_owner != 0 && owners_[prefer_owner].clean_head != kNil) {
-    victim = owners_[prefer_owner].clean_head;
+void BufferCache::evict_head(std::uint32_t slot, std::int64_t n) {
+  Extent& e = pool_[slot];
+  assert(e.live && e.state == State::kClean && n <= e.count);
+  owners_[e.owner].owned -= n;
+  live_count_ -= n;
+  metrics_->evictions += n;
+  if (n == e.count) {
+    clean_unlink(slot);
+    erase_extent(slot);
+    return;
   }
-  Block& block = pool_[victim];
-  assert(block.live && block.state == State::kClean);
-  --owners_[block.owner].owned;
-  lru_unlink(victim);
-  index_.erase(block.key);
-  free_slot(victim);
-  --live_count_;
-  ++metrics_->evictions;
+  // The index is keyed by last block, so trimming the head keeps the key.
+  e.first += n;
+  e.count -= n;
+  clean_count_ -= n;
+  if (cap_blocks_per_process_ > 0) owners_[e.owner].clean -= n;
+}
+
+bool BufferCache::make_room(std::int64_t need, std::uint32_t pid) {
+  // A per-block insert evicts one block first when the cache is full or the
+  // owner is at its cap. Runs of inserts that decide alike are done at once:
+  // each pass below covers the inserts up to the next change of decision.
+  const std::int64_t cap = cap_blocks_per_process_;
+  Owner& own = owners_[pid];
+  while (need > 0) {
+    std::int64_t n;
+    if (cap > 0 && own.owned + 1 > cap) {
+      // Over the cap: every insert evicts, the owner's LRU clean block while
+      // it has one, else the global LRU one (never pid's, as pid has none).
+      // Either way the owner stays at or over its cap.
+      const std::uint32_t victim = own.clean_head != kNil ? own.clean_head : clean_head_;
+      if (victim == kNil) return false;
+      n = std::min(need, pool_[victim].count);
+      evict_head(victim, n);
+    } else if (free_blocks() == 0) {
+      const std::uint32_t victim = clean_head_;
+      if (victim == kNil) return false;
+      n = std::min(need, pool_[victim].count);
+      // Taking another owner's blocks moves pid toward its cap.
+      if (cap > 0 && pool_[victim].owner != pid) n = std::min(n, cap - own.owned);
+      evict_head(victim, n);
+    } else {
+      n = std::min(need, free_blocks());
+      if (cap > 0) n = std::min(n, cap - own.owned);
+    }
+    own.owned += n;
+    live_count_ += n;
+    need -= n;
+  }
   return true;
-}
-
-std::uint32_t BufferCache::insert_block(std::uint64_t key, State state, std::uint32_t pid,
-                                        std::uint64_t op_id, bool from_readahead) {
-  std::uint32_t prefer = 0;
-  if (cap_blocks_per_process_ > 0 && owners_[pid].owned + 1 > cap_blocks_per_process_) {
-    prefer = pid;  // stay within the allowance by evicting our own blocks
-  }
-  if ((free_blocks() == 0 || prefer != 0) && !evict_one(prefer)) return kNil;
-
-  std::uint32_t slot;
-  if (free_head_ != kNil) {
-    slot = free_head_;
-    free_head_ = pool_[slot].lru_next;
-  } else {
-    slot = static_cast<std::uint32_t>(pool_.size());
-    pool_.emplace_back();
-  }
-  Block& block = pool_[slot];
-  block = Block{};
-  block.key = key;
-  block.live = true;
-  block.state = state;
-  block.owner = pid;
-  block.op_id = op_id;
-  block.from_readahead = from_readahead;
-  if (state == State::kClean) {
-    lru_push_back(slot);
-  } else if (state == State::kDirty) {
-    dirty_link(slot);
-  }
-  index_.emplace(key) = slot;
-  ++live_count_;
-  ++owners_[pid].owned;
-  return slot;
-}
-
-void BufferCache::touch_clean(Block& block) {
-  assert(block.state == State::kClean);
-  const std::uint32_t slot = slot_of(block);
-  if (lru_tail_ == slot) return;  // already MRU
-  lru_unlink(slot);
-  lru_push_back(slot);
-}
-
-void BufferCache::make_dirty(Block& block, std::uint32_t pid) {
-  switch (block.state) {
-    case State::kClean:
-      lru_unlink(slot_of(block));
-      block.state = State::kDirty;
-      dirty_link(slot_of(block));
-      break;
-    case State::kDirty:
-      break;
-    case State::kFetching:
-      // Overwritten before the fetch landed; the fetched data is stale.
-      block.state = State::kDirty;
-      dirty_link(slot_of(block));
-      break;
-    case State::kFlushing:
-      block.redirtied = true;
-      break;
-  }
-  block.owner = pid;
-  block.from_readahead = false;
 }
 
 BufferCache::ReadPlan BufferCache::plan_read(std::uint32_t pid, std::uint32_t file, Bytes offset,
@@ -323,17 +421,17 @@ BufferCache::ReadPlan BufferCache::plan_read(std::uint32_t pid, std::uint32_t fi
     return plan;
   }
 
-  // Pass 1 (no mutation): classify blocks.
-  std::int64_t missing = 0;
+  // Pass 1 (no mutation): count present and present-clean blocks.
+  std::int64_t present = 0;
   std::int64_t present_clean = 0;
-  for (std::int64_t b = b0; b < b1; ++b) {
-    const std::uint32_t slot = find_slot(key_of(file, b));
-    if (slot == kNil) {
-      ++missing;
-    } else if (pool_[slot].state == State::kClean) {
-      ++present_clean;
-    }
+  for (auto it = seek(file, b0); it != index_.end() && file_of(it->first) == file; ++it) {
+    const Extent& e = pool_[it->second];
+    if (e.first >= b1) break;
+    const std::int64_t n = std::min(e.end(), b1) - std::max(e.first, b0);
+    present += n;
+    if (e.state == State::kClean) present_clean += n;
   }
+  const std::int64_t missing = span - present;
   if (missing > 0 && !can_allocate(missing, pid)) {
     plan.space_wait = true;
     --metrics_->read_requests;  // the retry will count it
@@ -349,18 +447,19 @@ BufferCache::ReadPlan BufferCache::plan_read(std::uint32_t pid, std::uint32_t fi
     undo_metrics = *metrics_;
   }
 
-  // Pass 2: touch hits, join in-flight fetches, insert missing as Fetching.
-  std::int64_t present = 0;
-  for (std::int64_t b = b0; b < b1; ++b) {
-    const std::uint64_t key = key_of(file, b);
-    const std::uint32_t slot = find_slot(key);
+  // Pass 2, segment by segment in block order: insert gaps as Fetching,
+  // touch clean hits, join in-flight fetches. Each segment is looked up
+  // after the evictions of the ones before it.
+  present = 0;
+  for (std::int64_t b = b0; b < b1;) {
+    std::int64_t gap_end;
+    std::uint32_t slot = find(file, b, b1, gap_end);
     if (slot == kNil) {
-      const bool extends_run = !plan.fetch_runs.empty() &&
-                               plan.fetch_runs.back().file == file &&
-                               plan.fetch_runs.back().first_block + plan.fetch_runs.back().count == b;
-      if (!extends_run) plan.fetch_runs.push_back({file, b, 0});
-      if (insert_block(key, State::kFetching, pid, first_op_id + plan.fetch_runs.size() - 1,
-                       /*from_readahead=*/false) == kNil) {
+      auto& runs = plan.fetch_runs;
+      if (runs.empty() || runs.back().first_block + runs.back().count != b) {
+        runs.push_back({file, b, 0});
+      }
+      if (!make_room(gap_end - b, pid)) {
         assert(undo.has_value());
         restore(std::move(*undo), undo_metrics);
         ReadPlan wait;
@@ -368,25 +467,32 @@ BufferCache::ReadPlan BufferCache::plan_read(std::uint32_t pid, std::uint32_t fi
         --metrics_->read_requests;
         return wait;
       }
-      ++plan.fetch_runs.back().count;
+      insert_extent(file, b, gap_end - b, State::kFetching, pid, first_op_id + runs.size() - 1,
+                    /*from_readahead=*/false, Ticks::zero());
+      runs.back().count += gap_end - b;
+      b = gap_end;
       continue;
     }
-    ++present;
-    Block& block = pool_[slot];
-    if (block.from_readahead) {
-      ++metrics_->readahead_used_blocks;
-      block.from_readahead = false;
+    const std::int64_t end = std::min(pool_[slot].end(), b1);
+    present += end - b;
+    if (pool_[slot].from_readahead) {
+      metrics_->readahead_used_blocks += end - b;
       plan.readahead_hit = true;
+      slot = isolate(slot, b, end);
+      pool_[slot].from_readahead = false;
     }
-    if (block.state == State::kClean) {
-      touch_clean(block);
-    } else if (block.state == State::kFetching) {
-      if (std::find(plan.join_ops.begin(), plan.join_ops.end(), block.op_id) ==
-          plan.join_ops.end()) {
-        plan.join_ops.push_back(block.op_id);
+    if (pool_[slot].state == State::kClean) {
+      slot = isolate(slot, b, end);
+      clean_unlink(slot);
+      clean_push_back(slot);
+    } else if (pool_[slot].state == State::kFetching) {
+      const std::uint64_t op = pool_[slot].op_id;
+      if (std::find(plan.join_ops.begin(), plan.join_ops.end(), op) == plan.join_ops.end()) {
+        plan.join_ops.push_back(op);
       }
     }
     // Dirty/Flushing blocks hold valid data: plain hits.
+    b = end;
   }
 
   plan.full_hit = plan.fetch_runs.empty() && plan.join_ops.empty();
@@ -431,18 +537,20 @@ BufferCache::WritePlan BufferCache::plan_write(std::uint32_t pid, std::uint32_t 
   // Pass 1 (no mutation): count the missing blocks, and the present Clean
   // ones the write takes off the clean list (`leaving`; `own_leaving` of
   // them are pid's), which no insert of this write can evict.
-  std::int64_t missing = 0;
+  std::int64_t present = 0;
   std::int64_t leaving = 0;
   std::int64_t own_leaving = 0;
-  for (std::int64_t b = b0; b < b1; ++b) {
-    const std::uint32_t slot = find_slot(key_of(file, b));
-    if (slot == kNil) {
-      ++missing;
-    } else if (pool_[slot].state == State::kClean) {
-      ++leaving;
-      if (pool_[slot].owner == pid) ++own_leaving;
+  for (auto it = seek(file, b0); it != index_.end() && file_of(it->first) == file; ++it) {
+    const Extent& e = pool_[it->second];
+    if (e.first >= b1) break;
+    const std::int64_t n = std::min(e.end(), b1) - std::max(e.first, b0);
+    present += n;
+    if (e.state == State::kClean) {
+      leaving += n;
+      if (e.owner == pid) own_leaving += n;
     }
   }
+  const std::int64_t missing = span - present;
   if (missing > 0 && !can_allocate(missing, pid, leaving, own_leaving)) {
     plan.space_wait = true;
     --metrics_->write_requests;
@@ -454,68 +562,55 @@ BufferCache::WritePlan BufferCache::plan_write(std::uint32_t pid, std::uint32_t 
     undo.emplace(*this);
     undo_metrics = *metrics_;
   }
-  auto ran_dry = [&] {
-    assert(undo.has_value());
-    restore(std::move(*undo), undo_metrics);
-    WritePlan wait;
-    wait.space_wait = true;
-    --metrics_->write_requests;
-    return wait;
-  };
 
-  if (write_behind) {
-    for (std::int64_t b = b0; b < b1; ++b) {
-      const std::uint64_t key = key_of(file, b);
-      const std::uint32_t slot = find_slot(key);
-      if (slot == kNil) {
-        const std::uint32_t fresh =
-            insert_block(key, State::kDirty, pid, op_id, /*from_readahead=*/false);
-        if (fresh == kNil) return ran_dry();
-        pool_[fresh].dirty_since = now;
-      } else {
-        Block& block = pool_[slot];
-        make_dirty(block, pid);
-        block.dirty_since = now;
+  // Pass 2, segment by segment in block order. Write-behind lands the data
+  // Dirty (a Flushing segment is only marked redirtied); write-through
+  // sends every block to disk now. Either way the writer takes the blocks
+  // over (without moving the owned counts, a known bug).
+  const State landed = write_behind ? State::kDirty : State::kFlushing;
+  for (std::int64_t b = b0; b < b1;) {
+    std::int64_t gap_end;
+    std::uint32_t slot = find(file, b, b1, gap_end);
+    if (slot == kNil) {
+      if (!make_room(gap_end - b, pid)) {
+        assert(undo.has_value());
+        restore(std::move(*undo), undo_metrics);
+        WritePlan wait;
+        wait.space_wait = true;
+        --metrics_->write_requests;
+        return wait;
       }
+      insert_extent(file, b, gap_end - b, landed, pid, op_id, /*from_readahead=*/false,
+                    write_behind ? now : Ticks::zero());
+      b = gap_end;
+      continue;
     }
+    const std::int64_t end = std::min(pool_[slot].end(), b1);
+    slot = isolate(slot, b, end);
+    Extent& e = pool_[slot];
+    const State was = e.state;
+    if (was == State::kClean) clean_unlink(slot);
+    if (was == State::kDirty) dirty_unlink(slot);  // relinked below with its new stamp
+    e.owner = pid;
+    e.from_readahead = false;
+    if (write_behind) {
+      e.dirty_since = now;
+      if (was == State::kFlushing) {
+        e.redirtied = true;
+      } else {
+        e.state = State::kDirty;
+        dirty_link(slot);
+      }
+    } else {
+      e.state = State::kFlushing;
+    }
+    b = end;
+  }
+  if (write_behind) {
     plan.absorbed = true;
     ++metrics_->write_absorbed;
-  } else {
-    // Write-through: every block goes to disk now.
-    for (std::int64_t b = b0; b < b1; ++b) {
-      const std::uint64_t key = key_of(file, b);
-      const std::uint32_t slot = find_slot(key);
-      if (slot == kNil) {
-        if (insert_block(key, State::kFlushing, pid, op_id, /*from_readahead=*/false) == kNil) {
-          return ran_dry();
-        }
-      } else {
-        Block& block = pool_[slot];
-        switch (block.state) {
-          case State::kClean:
-            lru_unlink(slot);
-            block.state = State::kFlushing;
-            break;
-          case State::kDirty:
-            dirty_unlink(slot);
-            block.state = State::kFlushing;
-            break;
-          case State::kFetching:
-            block.state = State::kFlushing;
-            break;
-          case State::kFlushing:
-            break;
-        }
-        block.owner = pid;
-        block.from_readahead = false;
-      }
-      if (!plan.writethrough_runs.empty() && plan.writethrough_runs.back().file == file &&
-          plan.writethrough_runs.back().first_block + plan.writethrough_runs.back().count == b) {
-        ++plan.writethrough_runs.back().count;
-      } else {
-        plan.writethrough_runs.push_back({file, b, 1});
-      }
-    }
+  } else if (span > 0) {
+    plan.writethrough_runs.push_back({file, b0, span});
   }
 
   // Writes also advance the sequential detector (appending writes should not
@@ -534,49 +629,66 @@ std::optional<BlockRun> BufferCache::try_issue_readahead(std::uint32_t pid,
   if (candidate.count <= 0) return std::nullopt;
   add_owner(pid);
   // Only prefetch when the whole candidate is absent (the frontier case).
-  for (std::int64_t i = 0; i < candidate.count; ++i) {
-    if (index_.contains(key_of(candidate.file, candidate.first_block + i))) {
-      return std::nullopt;
-    }
+  const auto it = seek(candidate.file, candidate.first_block);
+  if (it != index_.end() && file_of(it->first) == candidate.file &&
+      pool_[it->second].first < candidate.first_block + candidate.count) {
+    return std::nullopt;
   }
   if (!can_allocate(candidate.count, pid)) return std::nullopt;
   // An all-absent insert never evicts its own blocks, so can_allocate is
-  // exact here and no insert can fail.
-  for (std::int64_t i = 0; i < candidate.count; ++i) {
-    insert_block(key_of(candidate.file, candidate.first_block + i), State::kFetching, pid, op_id,
-                 /*from_readahead=*/true);
-  }
+  // exact here and make_room cannot fail.
+  const bool room = make_room(candidate.count, pid);
+  assert(room);
+  (void)room;
+  insert_extent(candidate.file, candidate.first_block, candidate.count, State::kFetching, pid,
+                op_id, /*from_readahead=*/true, Ticks::zero());
   ++metrics_->readahead_issued;
   metrics_->readahead_fetched_blocks += candidate.count;
   return candidate;
 }
 
 void BufferCache::fetch_complete(const BlockRun& run) {
-  for (std::int64_t i = 0; i < run.count; ++i) {
-    const std::uint32_t slot = find_slot(key_of(run.file, run.first_block + i));
-    if (slot == kNil) continue;
-    Block& block = pool_[slot];
-    if (block.state != State::kFetching) continue;  // overwritten meanwhile
-    block.state = State::kClean;
-    lru_push_back(slot);
+  const std::int64_t end = run.first_block + run.count;
+  for (std::int64_t b = run.first_block; b < end;) {
+    std::int64_t gap_end;
+    std::uint32_t slot = find(run.file, b, end, gap_end);
+    if (slot == kNil) {
+      b = gap_end;
+      continue;
+    }
+    const std::int64_t stop = std::min(pool_[slot].end(), end);
+    if (pool_[slot].state == State::kFetching) {  // else overwritten meanwhile
+      slot = isolate(slot, b, stop);
+      pool_[slot].state = State::kClean;
+      clean_push_back(slot);
+    }
+    b = stop;
   }
 }
 
 void BufferCache::flush_complete(const BlockRun& run) {
-  for (std::int64_t i = 0; i < run.count; ++i) {
-    const std::uint64_t key = key_of(run.file, run.first_block + i);
-    const std::uint32_t slot = find_slot(key);
-    if (slot == kNil) continue;
-    Block& block = pool_[slot];
-    if (block.state != State::kFlushing) continue;
-    if (block.redirtied) {
-      block.redirtied = false;
-      block.state = State::kDirty;
-      dirty_link(slot);
-    } else {
-      block.state = State::kClean;
-      lru_push_back(slot);
+  const std::int64_t end = run.first_block + run.count;
+  for (std::int64_t b = run.first_block; b < end;) {
+    std::int64_t gap_end;
+    std::uint32_t slot = find(run.file, b, end, gap_end);
+    if (slot == kNil) {
+      b = gap_end;
+      continue;
     }
+    const std::int64_t stop = std::min(pool_[slot].end(), end);
+    if (pool_[slot].state == State::kFlushing) {
+      slot = isolate(slot, b, stop);
+      Extent& e = pool_[slot];
+      if (e.redirtied) {
+        e.redirtied = false;
+        e.state = State::kDirty;
+        dirty_link(slot);
+      } else {
+        e.state = State::kClean;
+        clean_push_back(slot);
+      }
+    }
+    b = stop;
   }
 }
 
@@ -587,43 +699,35 @@ std::vector<BlockRun> BufferCache::collect_flush_batch(std::int64_t max_blocks,
   std::int64_t taken = 0;
   std::uint32_t cursor = dirty_head_;
   while (taken < max_blocks && cursor != kNil) {
-    Block& block = pool_[cursor];
-    assert(block.live && block.state == State::kDirty);
-    const std::uint32_t next = block.lru_next;
-    if (min_age > Ticks::zero() && block.dirty_since + min_age > now) {
-      cursor = next;  // still younger than the delayed-write threshold
-      continue;
+    std::uint32_t slot = cursor;
+    cursor = pool_[slot].next;
+    if (min_age > Ticks::zero() && pool_[slot].dirty_since + min_age > now) {
+      continue;  // still younger than the delayed-write threshold
     }
-    dirty_unlink(cursor);
-    ++taken;
-    block.state = State::kFlushing;
-    const std::uint32_t file = file_of(block.key);
-    const std::int64_t block_no = block_of(block.key);
-    const bool extends = !runs.empty() && runs.back().file == file &&
-                         runs.back().first_block + runs.back().count == block_no &&
-                         (max_run_blocks <= 0 || runs.back().count < max_run_blocks);
-    if (extends) {
-      ++runs.back().count;
-    } else {
-      runs.push_back({file, block_no, 1});
-    }
-    cursor = next;
+    const std::int64_t n = std::min(pool_[slot].count, max_blocks - taken);
+    if (n < pool_[slot].count) slot = split_before(slot, pool_[slot].first + n);
+    dirty_unlink(slot);
+    Extent& e = pool_[slot];
+    e.state = State::kFlushing;
+    taken += n;
+    append_run(runs, e.file, e.first, n, max_run_blocks);
   }
   return runs;
 }
 
 std::int64_t BufferCache::invalidate_file(std::uint32_t file) {
   std::int64_t cancelled = 0;
-  for (std::uint32_t slot = 0; slot < pool_.size(); ++slot) {
-    Block& block = pool_[slot];
-    if (!block.live || file_of(block.key) != file) continue;
-    switch (block.state) {
+  for (auto it = seek(file, 0); it != index_.end() && file_of(it->first) == file;) {
+    const std::uint32_t slot = it->second;
+    ++it;  // erase_extent drops this entry
+    Extent& e = pool_[slot];
+    switch (e.state) {
       case State::kClean:
-        lru_unlink(slot);
+        clean_unlink(slot);
         break;
       case State::kDirty:
         dirty_unlink(slot);
-        ++cancelled;
+        cancelled += e.count;
         break;
       case State::kFetching:
       case State::kFlushing:
@@ -631,10 +735,9 @@ std::int64_t BufferCache::invalidate_file(std::uint32_t file) {
         // fetch/flush_complete bookkeeping stays simple.
         continue;
     }
-    --owners_[block.owner].owned;
-    index_.erase(block.key);
-    free_slot(slot);
-    --live_count_;
+    owners_[e.owner].owned -= e.count;
+    live_count_ -= e.count;
+    erase_extent(slot);
   }
   sequential_.erase(file);
   metrics_->writes_cancelled_blocks += cancelled;
@@ -648,82 +751,102 @@ std::string BufferCache::check_invariants() const {
   auto fail = [](const char* list, const char* what, std::uint32_t slot) {
     return std::string(list).append(what).append(" at slot ").append(std::to_string(slot));
   };
-  // One intrusive list: live blocks in `state`, consistent back links, the
-  // recorded tail, the recorded count, and (dirty list) ascending keys.
+  // One intrusive list: live extents in `state`, consistent back links, the
+  // recorded tail, the recorded block count, and (dirty list) ascending keys.
   auto walk = [&](const char* list, std::uint32_t head, std::uint32_t tail, State state,
                   std::int64_t count, bool sorted) -> std::string {
-    std::int64_t n = 0;
+    std::size_t n = 0;
+    std::int64_t blocks = 0;
     std::uint32_t prev = kNil;
-    for (std::uint32_t s = head; s != kNil; prev = s, s = pool_[s].lru_next) {
-      if (s >= bound || static_cast<std::size_t>(n) >= bound) return fail(list, " overrun", s);
-      const Block& b = pool_[s];
-      if (!b.live || b.state != state) return fail(list, " holds a block in another state", s);
-      if (b.lru_prev != prev) return fail(list, " back link broken", s);
-      if (sorted && prev != kNil && pool_[prev].key >= b.key) {
+    for (std::uint32_t s = head; s != kNil; prev = s, s = pool_[s].next) {
+      if (s >= bound || n >= bound) return fail(list, " overrun", s);
+      const Extent& e = pool_[s];
+      if (!e.live || e.state != state) return fail(list, " holds an extent in another state", s);
+      if (e.prev != prev) return fail(list, " back link broken", s);
+      if (sorted && prev != kNil &&
+          key_of(pool_[prev].file, pool_[prev].end() - 1) >= key_of(e.file, e.first)) {
         return fail(list, " not key-sorted", s);
       }
       ++n;
+      blocks += e.count;
     }
     if (prev != tail) return std::string(list).append(" tail mismatch");
-    if (n != count) return std::string(list).append(" length != its count");
+    if (blocks != count) return std::string(list).append(" blocks != its count");
     return {};
   };
-  std::string err = walk("clean list", lru_head_, lru_tail_, State::kClean, clean_count_, false);
+  std::string err =
+      walk("clean list", clean_head_, clean_tail_, State::kClean, clean_count_, false);
   if (err.empty()) {
     err = walk("dirty list", dirty_head_, dirty_tail_, State::kDirty, dirty_count_, true);
   }
   if (!err.empty()) return err;
 
-  // Index <-> pool: every live block is indexed at its own slot, and the
-  // index holds nothing else (equal sizes, and distinct live keys cannot
-  // share one index entry).
-  std::int64_t live = 0;
-  for (std::uint32_t s = 0; s < pool_.size(); ++s) {
-    if (!pool_[s].live) continue;
-    ++live;
-    if (find_slot(pool_[s].key) != s) return fail("index", " misses a live block", s);
+  // Index <-> pool: each entry names a live, non-empty extent by its last
+  // block, in ascending key order without overlap; the extents' blocks add
+  // up to live_count_, and no live extent is missing from the index.
+  std::int64_t blocks = 0;
+  std::uint64_t prev_key = 0;
+  bool first = true;
+  for (const auto& [key, slot] : index_) {
+    if (slot >= bound) return fail("index", " names a slot past the pool", slot);
+    const Extent& e = pool_[slot];
+    if (!e.live) return fail("index", " names a dead extent", slot);
+    if (e.count < 1) return fail("extent", " is empty", slot);
+    if (key != key_of(e.file, e.end() - 1)) return fail("index", " key != last block", slot);
+    if (!first && key_of(e.file, e.first) <= prev_key) {
+      return fail("extent", " overlaps its predecessor", slot);
+    }
+    if (e.from_readahead && e.state != State::kClean && e.state != State::kFetching) {
+      return fail("extent", " holds written blocks marked read-ahead", slot);
+    }
+    if (e.redirtied && e.state != State::kFlushing) {
+      return fail("extent", " is redirtied but not Flushing", slot);
+    }
+    prev_key = key;
+    first = false;
+    blocks += e.count;
   }
-  if (live != live_count_) return "live blocks != live_count_";
-  if (index_.size() != static_cast<std::size_t>(live_count_)) return "index size != live_count_";
+  if (blocks != live_count_) return "extent blocks != live_count_";
+  std::size_t live = 0;
+  for (const Extent& e : pool_) live += e.live ? 1 : 0;
+  if (live != index_.size()) return "live extents != index size";
 
   // Free list: dead slots only, and free + live covers the pool.
   std::size_t free = 0;
-  for (std::uint32_t s = free_head_; s != kNil; s = pool_[s].lru_next) {
+  for (std::uint32_t s = free_head_; s != kNil; s = pool_[s].next) {
     if (s >= bound || free >= bound) return fail("free list", " overrun", s);
-    if (pool_[s].live) return fail("free list", " holds a live block", s);
+    if (pool_[s].live) return fail("free list", " holds a live extent", s);
     ++free;
   }
-  if (free + static_cast<std::size_t>(live_count_) != pool_.size()) {
-    return "free + live_count_ != pool size";
-  }
+  if (free + live != pool_.size()) return "free + live extents != pool size";
 
-  // Per-owner clean lists (capped only): walking the clean LRU, each block
+  // Per-owner clean lists (capped only): walking the clean LRU, each extent
   // must be the next one on its owner's list, so each list holds exactly
-  // that owner's clean blocks in LRU order; its length is its clean count.
+  // that owner's clean extents in LRU order; its blocks are its clean count.
   //
   // Sum(owned) == live_count_ with every count >= 0 is deliberately not
-  // checked: make_dirty and the write-through path reassign block.owner
-  // without moving the owned counts, a known bug (a shared-file script
-  // reaches owned_blocks(1) == -3), pinned by the recorded-script digest
-  // until it is fixed together with can_allocate.
+  // checked: plan_write reassigns an extent's owner without moving the
+  // owned counts, a known bug (a shared-file script reaches
+  // owned_blocks(1) == -3), pinned by the recorded-script digest until a
+  // fix re-pins it.
   if (cap_blocks_per_process_ > 0) {
     std::vector<std::uint32_t> cursor(owners_.size());
     std::vector<std::uint32_t> last(owners_.size(), kNil);
     std::vector<std::int64_t> seen(owners_.size(), 0);
     for (std::size_t pid = 0; pid < owners_.size(); ++pid) cursor[pid] = owners_[pid].clean_head;
-    for (std::uint32_t s = lru_head_; s != kNil; s = pool_[s].lru_next) {
-      const Block& b = pool_[s];
-      if (b.owner >= owners_.size()) return fail("clean list", " holds an unknown owner", s);
-      if (cursor[b.owner] != s) return fail("owner clean list", " out of LRU order", s);
-      if (b.own_prev != last[b.owner]) return fail("owner clean list", " back link broken", s);
-      cursor[b.owner] = b.own_next;
-      last[b.owner] = s;
-      ++seen[b.owner];
+    for (std::uint32_t s = clean_head_; s != kNil; s = pool_[s].next) {
+      const Extent& e = pool_[s];
+      if (e.owner >= owners_.size()) return fail("clean list", " holds an unknown owner", s);
+      if (cursor[e.owner] != s) return fail("owner clean list", " out of LRU order", s);
+      if (e.own_prev != last[e.owner]) return fail("owner clean list", " back link broken", s);
+      cursor[e.owner] = e.own_next;
+      last[e.owner] = s;
+      seen[e.owner] += e.count;
     }
     for (std::size_t pid = 0; pid < owners_.size(); ++pid) {
-      if (cursor[pid] != kNil) return "owner clean list holds a non-clean block";
+      if (cursor[pid] != kNil) return "owner clean list holds a non-clean extent";
       if (owners_[pid].clean_tail != last[pid]) return "owner clean list tail mismatch";
-      if (seen[pid] != owners_[pid].clean) return "owner clean list length != clean count";
+      if (seen[pid] != owners_[pid].clean) return "owner clean list blocks != clean count";
     }
   }
   return {};

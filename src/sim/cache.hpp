@@ -6,29 +6,45 @@
 // to/from the disk and which in-flight operations the request must join.
 // Completion notifications flow back through fetch_complete/flush_complete.
 //
-// Storage layout (hot path): blocks live in a slot pool (stable indices,
-// free-list recycled) addressed through an open-addressing hash index, and
-// both block lists are intrusive — prev/next slot indices inside the block
-// itself. The clean list is LRU-ordered; the dirty list is kept in ascending
-// (file, block) key order so flush batches coalesce into contiguous runs.
-// A block is on at most one list (Clean and Dirty are disjoint states), so
-// the two share the same pair of link fields. Touching a block on a hit or
-// dirtying an appending write is pointer surgery with zero allocation, where
-// the seed implementation paid an unordered_map node plus a std::list splice
-// per touch and a std::set node per dirtied block.
+// Storage layout: the programs of the paper move data in long sequential
+// runs of constant-size requests (§5.2), so cache state is kept per extent,
+// not per block. An extent is a run of blocks of one file that share a
+// state, an owner, a fetch op id, a dirty stamp and the read-ahead and
+// redirtied flags; all of its blocks behave alike under every operation.
+// Extents live in a slot pool (stable indices, free-list recycled) and an
+// ordered index keyed by (file, last block), so one lookup finds the extent
+// that holds a block or the next one after it. Every plan, completion,
+// flush and eviction costs O(extents it touches), however many blocks those
+// hold. An extent is split only where an operation treats its blocks
+// differently: a partial hit or overwrite, an eviction, a flush batch or
+// run limit, a differing dirty stamp. Neighbours that come to agree again
+// are merged when they meet at the clean MRU end or in the dirty list.
 //
-// Under a per-process cap, a second pair of links (own_prev/own_next)
-// threads each owner's clean blocks into a per-owner list, linked and
-// unlinked together with the clean LRU, so it holds the same blocks in the
-// same relative order. Its head is the owner's least-recently-used clean
-// block — the owner-preferred victim — and its length is the owner's
-// evictable count, both O(1). A block's owner only changes while it is off
-// the clean list, so the lists never need re-threading. Per-owner records
-// (owned count and that list) live in a pid-indexed vector; pids are small
-// and dense.
+// Observable behaviour is that of a per-block LRU cache (the naive model of
+// tests/sim_cache_model_test.cpp agrees op for op):
+//  * The clean list is an LRU of extents; the blocks of one extent are
+//    consecutive in LRU order, oldest first. Hits are touched to MRU in
+//    ascending block order while a read is planned; fetched blocks reach MRU
+//    at fetch_complete and write-through blocks at flush_complete.
+//  * Each inserted block evicts one clean block (the LRU one, or, over a
+//    per-process cap, the owner's LRU one) in ascending block order within a
+//    request. Evicting trims the head of the victim extent, so one step
+//    frees any number of blocks in O(1). A request's segments are classified
+//    only after the evictions of the segments before them, so an insert can
+//    evict a later, not yet visited block of the same request, which is then
+//    re-fetched. A plan that would have to evict from an empty clean list is
+//    undone and waits for space.
+//  * The dirty list holds Dirty extents in ascending (file, block) order, so
+//    collect_flush_batch emits contiguous runs straight from it.
+//  * Under a per-process cap each owner also threads its clean extents into
+//    its own list, in LRU order: its head is the owner-preferred victim, O(1).
+//    An extent's owner only changes while it is off the clean list, so the
+//    lists never need re-threading. Per-owner records live in a pid-indexed
+//    vector; pids are small and dense.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -36,7 +52,6 @@
 
 #include "sim/metrics.hpp"
 #include "sim/params.hpp"
-#include "util/flat_map.hpp"
 #include "util/units.hpp"
 
 namespace craysim::sim {
@@ -129,8 +144,10 @@ class BufferCache {
   [[nodiscard]] std::vector<BlockRun> resident_runs() const;
 
   /// Walks every list and the index and checks the bookkeeping against the
-  /// counters. Returns an empty string when consistent, else a description
-  /// of the first violation. O(pool size): meant for tests, not hot paths.
+  /// counters: extents do not overlap and are indexed in key order, and the
+  /// block counts of the lists and extents add up. Returns an empty string
+  /// when consistent, else a description of the first violation. O(pool
+  /// size): meant for tests, not hot paths.
   [[nodiscard]] std::string check_invariants() const;
 
  private:
@@ -138,17 +155,19 @@ class BufferCache {
 
   static constexpr std::uint32_t kNil = 0xffffffffu;
 
-  struct Block {
-    std::uint64_t key = 0;         ///< file<<32 | block while live
+  struct Extent {
+    std::int64_t first = 0;        ///< first block
+    std::int64_t count = 0;        ///< blocks, >= 1 while live
     std::uint64_t op_id = 0;       ///< fetch op while Fetching
-    Ticks dirty_since;             ///< when the block was last made dirty
+    Ticks dirty_since;             ///< when the blocks were last made dirty
+    std::uint32_t file = 0;
     std::uint32_t owner = 0;
-    // Intrusive list links (slot indices): the clean-LRU list while Clean,
-    // the key-ordered dirty list while Dirty (the states are disjoint, so
-    // one pair of links serves both) — and the slot doubles as the
-    // free-list node via lru_next when dead.
-    std::uint32_t lru_prev = kNil;
-    std::uint32_t lru_next = kNil;
+    // Intrusive list links (slot indices): the clean LRU while Clean, the
+    // key-ordered dirty list while Dirty (the states are disjoint, so one
+    // pair of links serves both) — and the free list through `next` when
+    // dead.
+    std::uint32_t prev = kNil;
+    std::uint32_t next = kNil;
     // Per-owner clean-list links, maintained only under a per-process cap.
     std::uint32_t own_prev = kNil;
     std::uint32_t own_next = kNil;
@@ -156,15 +175,16 @@ class BufferCache {
     bool live = false;
     bool from_readahead = false;   ///< fetched by prefetch, not yet referenced
     bool redirtied = false;        ///< written while Flushing
+
+    [[nodiscard]] std::int64_t end() const { return first + count; }
   };
+
+  using Index = std::map<std::uint64_t, std::uint32_t>;  ///< (file, last block) -> slot
 
   static std::uint64_t key_of(std::uint32_t file, std::int64_t block) {
     return (static_cast<std::uint64_t>(file) << 32) | static_cast<std::uint64_t>(block);
   }
   static std::uint32_t file_of(std::uint64_t key) { return static_cast<std::uint32_t>(key >> 32); }
-  static std::int64_t block_of(std::uint64_t key) {
-    return static_cast<std::int64_t>(key & 0xffffffffull);
-  }
 
   [[nodiscard]] std::int64_t free_blocks() const { return capacity_blocks_ - live_count_; }
   /// Can `need` new blocks be produced (free + evictable clean)? `leaving`
@@ -178,67 +198,84 @@ class BufferCache {
                                      std::int64_t present_clean) const;
   /// Rolls back a plan that ran out of evictable blocks.
   void restore(BufferCache&& saved, const CacheMetrics& metrics);
-  /// Makes room for one block (evicting the LRU clean block if needed) and
-  /// inserts it; returns the slot, or kNil when no clean block was left to
-  /// evict (nothing is inserted then).
-  std::uint32_t insert_block(std::uint64_t key, State state, std::uint32_t pid,
-                             std::uint64_t op_id, bool from_readahead);
-  /// Evicts the owner's or the global LRU clean block; false when the clean
-  /// list is empty.
-  bool evict_one(std::uint32_t prefer_owner);
-  /// Looks up a live block slot; kNil when absent.
-  [[nodiscard]] std::uint32_t find_slot(std::uint64_t key) const;
-  void touch_clean(Block& block);
-  void make_dirty(Block& block, std::uint32_t pid);
-  /// Appends a Clean block at the MRU end of the intrusive list (and of its
-  /// owner's clean list when capped).
-  void lru_push_back(std::uint32_t slot);
-  /// Unlinks a Clean block from the intrusive list (and from its owner's
-  /// clean list when capped).
-  void lru_unlink(std::uint32_t slot);
+
+  /// The first extent of `file` whose last block is >= `block`: the one
+  /// holding `block`, or else the next one after it (end() or another file
+  /// when none).
+  [[nodiscard]] Index::const_iterator seek(std::uint32_t file, std::int64_t block) const {
+    return index_.lower_bound(key_of(file, block));
+  }
+  /// The slot of the extent holding (file, block), or kNil; `gap_end` gets
+  /// the first present block after it (`limit` at most) when absent.
+  [[nodiscard]] std::uint32_t find(std::uint32_t file, std::int64_t block, std::int64_t limit,
+                                   std::int64_t& gap_end) const;
+  /// Makes room for `need` inserted blocks charged to `pid`, performing the
+  /// evictions a per-block insert loop would, in the same order. False when
+  /// an eviction found the clean list empty (the caller undoes the plan).
+  bool make_room(std::int64_t need, std::uint32_t pid);
+  /// Evicts the first `n` blocks of clean extent `slot`.
+  void evict_head(std::uint32_t slot, std::int64_t n);
+  /// Creates an extent for [first, first + count) of `file` (already
+  /// charged by make_room) and links it into its state's list.
+  void insert_extent(std::uint32_t file, std::int64_t first, std::int64_t count,
+                              State state, std::uint32_t owner, std::uint64_t op_id,
+                              bool from_readahead, Ticks dirty_since);
+  /// Splits extent `slot` so that one extent covers exactly
+  /// [first, end) ∩ the extent; returns its slot. The parts keep their
+  /// place in every list.
+  std::uint32_t isolate(std::uint32_t slot, std::int64_t first, std::int64_t end);
+  /// Splits off [first, at) of extent `slot` as a new extent just before it
+  /// in its list; returns the new slot.
+  std::uint32_t split_before(std::uint32_t slot, std::int64_t at);
+  std::uint32_t alloc_slot();
+  /// Unindexes and frees an extent that is on no list.
+  void erase_extent(std::uint32_t slot);
+  /// Appends a Clean extent at the MRU end of the clean list (and of its
+  /// owner's clean list when capped), merging it into the MRU extent when
+  /// that one continues it.
+  void clean_push_back(std::uint32_t slot);
+  void clean_unlink(std::uint32_t slot);
+  /// Links a Dirty extent into the dirty list at its key position
+  /// (sequential writes append in O(1) via the tail/hint checks) and merges
+  /// it with key-adjacent neighbours that share its owner and stamp.
+  void dirty_link(std::uint32_t slot);
+  void dirty_unlink(std::uint32_t slot);
+  /// Merges Dirty extent `slot` with its dirty-list neighbours when they
+  /// continue it with the same owner and stamp; returns the surviving slot.
+  std::uint32_t dirty_coalesce(std::uint32_t slot);
+  /// Folds extent `left` (on the same list, ending where `right` starts)
+  /// into `right`.
+  void absorb(std::uint32_t left, std::uint32_t right);
   /// Makes owners_[pid] addressable; every pid a block can be charged to
   /// passes through here on entry to a plan/readahead call.
   void add_owner(std::uint32_t pid) {
     if (pid >= owners_.size()) owners_.resize(std::size_t{pid} + 1);
-  }
-  /// Inserts a Dirty block into the intrusive dirty list at its ascending
-  /// key position (sequential writes append in O(1) via the tail/hint
-  /// checks) and bumps dirty_count_.
-  void dirty_link(std::uint32_t slot);
-  /// Unlinks a Dirty block from the intrusive dirty list and drops
-  /// dirty_count_.
-  void dirty_unlink(std::uint32_t slot);
-  /// Releases a slot back to the free list (after index erase).
-  void free_slot(std::uint32_t slot);
-  [[nodiscard]] std::uint32_t slot_of(const Block& block) const {
-    return static_cast<std::uint32_t>(&block - pool_.data());
   }
 
   CacheParams params_;
   CacheMetrics* metrics_;
   std::int64_t capacity_blocks_;
   std::int64_t cap_blocks_per_process_;  ///< 0 = unlimited
-  std::vector<Block> pool_;              ///< slot storage, stable indices
-  std::uint32_t free_head_ = kNil;       ///< free-list through lru_next
-  util::FlatMap64<std::uint32_t> index_; ///< key -> slot
-  std::uint32_t lru_head_ = kNil;        ///< clean blocks, LRU at head
-  std::uint32_t lru_tail_ = kNil;        ///< MRU end
-  std::int64_t clean_count_ = 0;
-  std::int64_t live_count_ = 0;
-  // Intrusive dirty list, ascending by key so flush batches form contiguous
-  // runs. dirty_hint_ remembers the last insertion point: workloads with
-  // write locality (the common case) link neighbors in O(1) instead of
-  // walking from an end.
+  std::vector<Extent> pool_;             ///< slot storage, stable indices
+  std::uint32_t free_head_ = kNil;       ///< free list through next
+  Index index_;
+  std::uint32_t clean_head_ = kNil;      ///< clean extents, LRU at head
+  std::uint32_t clean_tail_ = kNil;      ///< MRU end
+  std::int64_t clean_count_ = 0;         ///< blocks
+  std::int64_t live_count_ = 0;          ///< blocks
+  // Dirty extents, ascending by key. dirty_hint_ remembers the last
+  // insertion point: workloads with write locality link neighbours in O(1)
+  // instead of walking from an end.
   std::uint32_t dirty_head_ = kNil;
   std::uint32_t dirty_tail_ = kNil;
   std::uint32_t dirty_hint_ = kNil;
-  std::int64_t dirty_count_ = 0;
+  std::int64_t dirty_count_ = 0;         ///< blocks
   struct Owner {
     std::int64_t owned = 0;           ///< blocks charged to this pid, any state
-    // Clean blocks of this owner in LRU order (maintained only when capped).
+    // Clean extents of this owner in LRU order (maintained only when capped).
     std::uint32_t clean_head = kNil;
     std::uint32_t clean_tail = kNil;
-    std::int64_t clean = 0;
+    std::int64_t clean = 0;           ///< blocks
   };
   std::vector<Owner> owners_;            ///< indexed by pid
   // Per-file sequential detector for read-ahead.
