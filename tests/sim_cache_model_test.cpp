@@ -20,12 +20,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <iterator>
 #include <list>
 #include <map>
 #include <optional>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/cache.hpp"
