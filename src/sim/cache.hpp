@@ -217,15 +217,15 @@ class BufferCache {
   void evict_head(std::uint32_t slot, std::int64_t n);
   /// Creates an extent for [first, first + count) of `file` (already
   /// charged by make_room) and links it into its state's list.
-  void insert_extent(std::uint32_t file, std::int64_t first, std::int64_t count,
-                              State state, std::uint32_t owner, std::uint64_t op_id,
-                              bool from_readahead, Ticks dirty_since);
+  void insert_extent(std::uint32_t file, std::int64_t first, std::int64_t count, State state,
+                     std::uint32_t owner, std::uint64_t op_id, bool from_readahead,
+                     Ticks dirty_since);
   /// Splits extent `slot` so that one extent covers exactly
   /// [first, end) ∩ the extent; returns its slot. The parts keep their
   /// place in every list.
   std::uint32_t isolate(std::uint32_t slot, std::int64_t first, std::int64_t end);
-  /// Splits off [first, at) of extent `slot` as a new extent just before it
-  /// in its list; returns the new slot.
+  /// Splits the blocks before `at` off extent `slot` as a new extent just
+  /// before it in its list; returns the new slot.
   std::uint32_t split_before(std::uint32_t slot, std::int64_t at);
   std::uint32_t alloc_slot();
   /// Unindexes and frees an extent that is on no list.
