@@ -466,7 +466,8 @@ class PaperSweep {
   /// Runs one simulation per point and returns the results in submission
   /// order. Point i runs `run_with(params)` — or `run_with(point, params)`
   /// when the workload depends on the point — on `params(point)` with the
-  /// flag-selected sinks attached; `label(point)` names the point in traces,
+  /// flag-selected sinks and the runner's cancel token attached, so a
+  /// --deadline stops the simulation itself; `label(point)` names the point in traces,
   /// ledgers, the flight dump and the journal. When any resilience flag was
   /// given, prints a one-line outcome summary. A failed point is reported to
   /// stderr and exits the bench with status 1, after the flight dump and the
@@ -497,9 +498,10 @@ class PaperSweep {
       const auto scope = phases_.scope("sweep");
       settled = pool.run_settled(
           indices,
-          [&](std::size_t i) {
+          [&](std::size_t i, const util::CancelToken& token) {
             return simulate_(i, [&](sim::SimParams& p) {
               observer_->instrument(i, labels[i], p);
+              p.cancel = &token;  // --deadline reaches the simulation
             });
           },
           SimResultCodec{labels});

@@ -59,7 +59,7 @@ enum class AttrComponent : std::uint8_t {
 inline constexpr std::size_t kAttrOpComponents = 8;
 [[nodiscard]] const char* attr_component_name(AttrComponent component);
 
-/// Disk transfer kinds (mirrors the simulator's I/O op kinds).
+/// Disk transfer kinds; the simulator's I/O ops carry these (sim::IoKind).
 enum class AttrDiskKind : std::uint8_t {
   kFetch = 0,
   kReadahead,
@@ -82,7 +82,7 @@ enum class AttrDiskComponent : std::uint8_t {
 inline constexpr std::size_t kAttrDiskComponents = 6;
 [[nodiscard]] const char* attr_disk_component_name(AttrDiskComponent component);
 
-/// Per-transfer breakdown filled by DiskModel::submit when attribution is on.
+/// Per-transfer breakdown, as the disk model reports it for each transfer.
 struct AttrDiskBreakdown {
   Ticks queue;
   Ticks overhead;

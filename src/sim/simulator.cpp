@@ -4,32 +4,20 @@
 #include <cassert>
 #include <functional>
 
-#include "obs/span.hpp"
 #include "util/error.hpp"
 #include "workload/generator.hpp"
 
 namespace craysim::sim {
 
-const char* Simulator::io_kind_name(IoOp::Kind kind) {
-  switch (kind) {
-    case IoOp::Kind::kFetch: return "fetch";
-    case IoOp::Kind::kReadAhead: return "readahead";
-    case IoOp::Kind::kFlush: return "flush";
-    case IoOp::Kind::kWriteThrough: return "writethrough";
-    case IoOp::Kind::kBypass: return "bypass";
-  }
-  return "io";
-}
-
 Simulator::Simulator(SimParams params) : params_(std::move(params)) {
   if (params_.cpu_count < 1) throw ConfigError("cpu_count must be >= 1");
   cpus_.resize(static_cast<std::size_t>(params_.cpu_count));
-  spans_ = params_.spans;
-  attr_ = params_.attribution;
   disk_ = std::make_unique<DiskModel>(params_.disk, params_.position, params_.disk_count,
                                       params_.disk_queueing, params_.seed ^ 0xd15c,
                                       params_.faults);
-  disk_->set_spans(spans_);
+  if (params_.spans || params_.attribution || params_.record_trace) {
+    observer_ = std::make_unique<SimObserver>(params_);
+  }
   if (params_.use_cache) {
     cache_ = std::make_unique<BufferCache>(params_.cache, result_.cache);
   }
@@ -64,102 +52,9 @@ Ticks Simulator::hit_delay(Bytes bytes) const {
          Ticks::from_us(params_.cache.hit_us_per_kb * static_cast<double>(bytes) / 1024.0);
 }
 
-void Simulator::attr_begin(Ticks now, Ticks t, Proc& proc, const workload::Request& req,
-                           std::uint32_t gfile) {
-  if (!proc.attr_active) {
-    // A long compute gap before this request starts a new burst epoch.
-    if (proc.attr_started && req.compute >= obs::kAttrPhaseGap) ++proc.attr_phase;
-    proc.attr_started = true;
-    proc.attr_active = true;
-    proc.attr_issue = now;
-    proc.attr_mark = now;
-    proc.attr_comp = {};
-    proc.attr_bytes = req.length;
-    proc.attr_write = req.write;
-    proc.attr_file = gfile;
-  } else {
-    // Space-wait retry re-entering issue_io: the gap since the wake is
-    // scheduler (not-running) time — context switch plus ready-queue wait.
-    attr_add(proc, obs::AttrComponent::kSched, now);
-  }
-  attr_add(proc, obs::AttrComponent::kFsCall, t);
-}
-
-void Simulator::attr_add(Proc& proc, obs::AttrComponent component, Ticks until) {
-  // Signed on purpose: joined completions can land inside the fs_call window
-  // (see unblock()'s clamp comment), and keeping the same unclamped
-  // arithmetic as blocked_total is what makes the ledger's miss+space total
-  // equal the summed per-process blocked time exactly.
-  proc.attr_comp[static_cast<std::size_t>(component)] += (until - proc.attr_mark).count();
-  proc.attr_mark = until;
-}
-
-void Simulator::attr_finish(Proc& proc, Ticks end) {
-  assert(proc.attr_mark == end && "attribution components must telescope to the op end");
-  obs::AttributionLedger::OpRecord rec;
-  rec.pid = proc.pid;
-  rec.file_key = proc.attr_file;
-  rec.phase = proc.attr_phase;
-  rec.bytes = proc.attr_bytes;
-  rec.write = proc.attr_write;
-  rec.total = end - proc.attr_issue;
-  rec.comp = proc.attr_comp;
-  attr_->record_op(rec);
-  proc.attr_active = false;
-}
-
-void Simulator::attr_record_disk(IoOp::Kind kind, Bytes bytes,
-                                 const obs::AttrDiskBreakdown& breakdown) {
-  // The two kind enums are kept in lockstep so this cast is the whole map.
-  static_assert(static_cast<int>(obs::AttrDiskKind::kFetch) ==
-                static_cast<int>(IoOp::Kind::kFetch));
-  static_assert(static_cast<int>(obs::AttrDiskKind::kReadahead) ==
-                static_cast<int>(IoOp::Kind::kReadAhead));
-  static_assert(static_cast<int>(obs::AttrDiskKind::kFlush) ==
-                static_cast<int>(IoOp::Kind::kFlush));
-  static_assert(static_cast<int>(obs::AttrDiskKind::kWriteThrough) ==
-                static_cast<int>(IoOp::Kind::kWriteThrough));
-  static_assert(static_cast<int>(obs::AttrDiskKind::kBypass) ==
-                static_cast<int>(IoOp::Kind::kBypass));
-  attr_->record_disk(static_cast<obs::AttrDiskKind>(kind), bytes, breakdown);
-}
-
 void Simulator::push_event(Ticks time, EventKind kind, std::uint64_t arg) {
   events_.push_back(Event{time, next_seq_++, kind, arg});
   std::push_heap(events_.begin(), events_.end(), std::greater<>{});
-}
-
-void Simulator::emit_span_metadata() {
-  spans_->name_process(obs::track::kProcesses, "processes (sim time)");
-  spans_->name_process(obs::track::kDisks, "disks");
-  spans_->name_process(obs::track::kIoOps, "I/O operations");
-  spans_->name_process(obs::track::kCache, "buffer cache");
-  for (const Proc& proc : procs_) {
-    spans_->name_thread(obs::track::kProcesses, proc.pid,
-                        proc.name + " (pid " + std::to_string(proc.pid) + ")");
-  }
-  for (std::int32_t d = 0; d < params_.disk_count; ++d) {
-    spans_->name_thread(obs::track::kDisks, static_cast<std::uint32_t>(d),
-                        "disk " + std::to_string(d));
-  }
-}
-
-void Simulator::emit_counter_sample(Ticks now) {
-  if (cache_) {
-    spans_->counter(obs::track::kCache, "dirty_blocks", now, "blocks",
-                    cache_->dirty_block_count());
-    spans_->counter(obs::track::kCache, "clean_blocks", now, "blocks",
-                    cache_->clean_block_count());
-    spans_->counter(obs::track::kCache, "resident_blocks", now, "blocks",
-                    cache_->resident_blocks());
-    spans_->counter(obs::track::kCache, "readahead_hit_blocks", now, "blocks",
-                    result_.cache.readahead_used_blocks);
-    spans_->counter(obs::track::kCache, "readahead_miss_blocks", now, "blocks",
-                    result_.cache.readahead_fetched_blocks - result_.cache.readahead_used_blocks);
-  }
-  spans_->counter(obs::track::kIoOps, "inflight_ops", now, "ops",
-                  static_cast<std::int64_t>(inflight_.size()));
-  disk_->sample_queue_depth_counters(now);
 }
 
 bool Simulator::drained() const {
@@ -167,19 +62,16 @@ bool Simulator::drained() const {
          (!cache_ || cache_->dirty_block_count() == 0);
 }
 
-void Simulator::note_evictions(std::int64_t before, Ticks t) {
-  if (spans_ && result_.cache.evictions > before) {
-    spans_->instant(obs::track::kCache, 0, "evict", t,
-                    {{"blocks", result_.cache.evictions - before}});
-  }
+void Simulator::note_evictions(Ticks t) {
+  if (observer_) observer_->evicted(t, result_.cache.evictions);
 }
 
 SimResult Simulator::run() {
   if (procs_.empty()) throw ConfigError("simulation has no processes");
-  if (spans_) emit_span_metadata();
-  if (attr_) {
-    // Register labels up front so a live mid-run scrape resolves names.
-    for (const Proc& proc : procs_) attr_->note_process(proc.pid, proc.name);
+  if (observer_) {
+    std::vector<std::string> names;
+    for (const Proc& proc : procs_) names.push_back(proc.name);
+    observer_->start(names);
   }
   now_ = Ticks::zero();
   for (Cpu& cpu : cpus_) {
@@ -192,12 +84,12 @@ SimResult Simulator::run() {
     proc.state = PState::kReady;
     ready_.push_back(proc.pid);
   }
+  // The first counter sample goes ahead of everything else at time zero.
+  if (observer_ && observer_->counter_interval() > Ticks::zero()) {
+    push_event(Ticks::zero(), EventKind::kCounterTick, 0);
+  }
   push_event(Ticks::zero(), EventKind::kDispatch, 0);
   push_event(params_.cache.flush_period, EventKind::kFlushTick, 0);
-  if (spans_ && params_.counter_interval > Ticks::zero()) {
-    emit_counter_sample(Ticks::zero());
-    push_event(params_.counter_interval, EventKind::kCounterTick, 0);
-  }
 
   // Safety valve against configuration bugs: no workload in this study runs
   // longer than a few simulated hours.
@@ -269,7 +161,7 @@ SimResult Simulator::run() {
     }
   }
   result_.disk = disk_->metrics();
-  if (attr_) result_.attr = attr_->summarize();
+  if (observer_) observer_->end(result_);
   return std::move(result_);
 }
 
@@ -290,7 +182,7 @@ void Simulator::release_cpu(Ticks now, Proc& proc) {
   if (proc.cpu < 0) return;
   Cpu& state = cpus_[static_cast<std::size_t>(proc.cpu)];
   assert(state.running == proc.pid);
-  if (spans_) spans_->end(obs::track::kProcesses, proc.pid, "run", now);
+  if (observer_) observer_->released(now, proc.pid);
   state.running = kNoProcess;
   state.idle = true;
   state.idle_since = now;
@@ -316,9 +208,7 @@ void Simulator::on_dispatch(Ticks now) {
     cpus_[static_cast<std::size_t>(free_cpu)].running = pid;
     proc.cpu = free_cpu;
     proc.state = PState::kRunning;
-    if (spans_) {
-      spans_->begin(obs::track::kProcesses, pid, "run", now, {{"cpu", free_cpu}});
-    }
+    if (observer_) observer_->ran(now, pid, free_cpu);
     result_.cpu_busy += params_.scheduler.context_switch;
     result_.overhead_time += params_.scheduler.context_switch;
     proc.slice_len = std::min(params_.scheduler.quantum, proc.remaining_compute);
@@ -361,7 +251,7 @@ void Simulator::finish_process(Ticks now, Proc& proc) {
   proc.finish_time = now;
   ++finished_;
   release_cpu(now, proc);
-  if (spans_) spans_->instant(obs::track::kProcesses, proc.pid, "finished", now);
+  if (observer_) observer_->finished(now, proc.pid);
   push_event(now, EventKind::kDispatch, 0);
 }
 
@@ -374,71 +264,26 @@ void Simulator::continue_running(Ticks now, std::uint32_t pid, Ticks extra_stall
   push_event(now + extra_stall + proc.slice_len, EventKind::kSliceEnd, pid);
 }
 
-void Simulator::block_for_io(Ticks now, Proc& proc, std::int32_t waits) {
-  proc.state = PState::kBlockedIo;
-  proc.wait_count = waits;
+void Simulator::block(Ticks now, Proc& proc, std::int32_t io_waits) {
+  proc.state = io_waits > 0 ? PState::kBlockedIo : PState::kBlockedSpace;
+  proc.wait_count = io_waits;
   proc.blocked_since = now;
   release_cpu(now, proc);
-  if (spans_) {
-    spans_->begin(obs::track::kProcesses, proc.pid, "blocked:io", now, {{"waits", waits}});
-  }
+  if (observer_) observer_->blocked(now, proc.pid, io_waits);
   push_event(now, EventKind::kDispatch, 0);
+  if (io_waits == 0) {
+    ++result_.cache.space_waits;
+    space_waiters_.push_back(proc.pid);
+    trigger_flush(now);
+  }
 }
 
-void Simulator::block_for_space(Ticks now, Proc& proc) {
-  proc.state = PState::kBlockedSpace;
-  proc.blocked_since = now;
-  ++result_.cache.space_waits;
-  space_waiters_.push_back(proc.pid);
-  release_cpu(now, proc);
-  if (spans_) {
-    spans_->begin(obs::track::kProcesses, proc.pid, "blocked:space", now);
-    spans_->instant(obs::track::kCache, 0, "space_wait", now,
-                    {{"pid", proc.pid}});
-  }
-  push_event(now, EventKind::kDispatch, 0);
-  trigger_flush(now);
-}
-
-void Simulator::unblock(Ticks now, std::uint32_t pid, Ticks extra_delay) {
-  Proc& proc = procs_[pid - 1];
-  // Clamp: blocked_since carries the fs_call overhead, so an op the process
-  // joined (submitted before this request) can complete inside that overhead
-  // window — sim-time "before" the block began. The span must not go
-  // backwards even then.
-  if (spans_) {
-    spans_->end(obs::track::kProcesses, pid, "blocked:io", std::max(now, proc.blocked_since));
-  }
-  if (attr_ && proc.attr_active) {
-    attr_add(proc, obs::AttrComponent::kMiss, now);
-    attr_add(proc, obs::AttrComponent::kInterrupt, now + extra_delay);
-    attr_finish(proc, now + extra_delay);
-  }
+void Simulator::wake(Ticks now, Proc& proc, Ticks interrupt) {
+  if (observer_) observer_->woke(now, proc.pid, interrupt);
   proc.blocked_total += now - proc.blocked_since;
-  advance_to_next_request(proc);
+  if (proc.state == PState::kBlockedIo) advance_to_next_request(proc);
   proc.state = PState::kReady;
-  ready_.push_back(pid);
-  push_event(now + extra_delay, EventKind::kDispatch, 0);
-}
-
-void Simulator::record_request(Ticks now, std::uint32_t pid, const workload::Request& req,
-                               bool cache_miss, bool readahead_hit) {
-  if (!params_.record_trace) return;
-  trace::TraceRecord r;
-  // The RA-hit annotation is only meaningful on a hit (validate() enforces
-  // the appendix's rule that a miss cannot also be a readahead hit).
-  r.record_type = trace::make_record_type(/*logical=*/true, req.write, req.async,
-                                          trace::DataClass::kFileData, cache_miss,
-                                          readahead_hit && !cache_miss);
-  r.offset = req.offset;
-  r.length = req.length;
-  r.start_time = now;
-  r.completion_time = Ticks::zero();  // annotations, not timings
-  r.operation_id = next_trace_op_++;
-  r.file_id = req.file;
-  r.process_id = pid;
-  r.process_time = req.compute;
-  result_.annotated_trace.push_back(r);
+  ready_.push_back(proc.pid);
 }
 
 void Simulator::record_disk_traffic(Ticks start, Ticks done, Bytes bytes, bool write) {
@@ -448,65 +293,18 @@ void Simulator::record_disk_traffic(Ticks start, Ticks done, Bytes bytes, bool w
       .add_spread(start, done - start, amount);
 }
 
-void Simulator::submit_run_with_id(std::uint64_t id, Ticks now, const BlockRun& run, bool write,
-                                   IoOp::Kind kind, std::uint32_t sync_waiter) {
-  const Bytes bs = cache_->block_size();
-  obs::AttrDiskBreakdown breakdown;
-  const Ticks done = disk_->submit(now, run.file, run.first_block * bs, run.bytes(bs), write,
-                                   attr_ ? &breakdown : nullptr);
-  if (attr_) {
-    assert(breakdown.total() == done - now && "disk breakdown must sum to service time");
-    attr_record_disk(kind, run.bytes(bs), breakdown);
-  }
-  record_disk_traffic(now, done, run.bytes(bs), write);
-  IoOp op;
-  op.kind = kind;
-  op.run = run;
-  op.notify_cache = true;
-  if (sync_waiter != kNoProcess) op.waiters.push_back(sync_waiter);
-  inflight_.emplace(id) = std::move(op);
-  if (spans_) {
-    spans_->async_begin(obs::track::kIoOps, id, "io", io_kind_name(kind), now,
-                        {{"file", static_cast<std::int64_t>(run.file)},
-                         {"blocks", run.count}});
-  }
-  push_event(done, EventKind::kIoDone, id);
-}
-
-std::uint64_t Simulator::submit_run(Ticks now, const BlockRun& run, bool write,
-                                    IoOp::Kind kind) {
-  const std::uint64_t id = next_op_++;
-  submit_run_with_id(id, now, run, write, kind, kNoProcess);
-  return id;
-}
-
-Simulator::IoOp& Simulator::just_submitted(std::uint64_t id) {
-  IoOp* op = inflight_.find(id);
-  assert(op != nullptr && "just-submitted op must still be inflight");
-  return *op;
-}
-
-std::uint64_t Simulator::submit_bypass(Ticks now, std::uint32_t gfile, Bytes offset, Bytes length,
-                                       bool write) {
-  const std::uint64_t id = next_op_++;
-  obs::AttrDiskBreakdown breakdown;
-  const Ticks done = disk_->submit(now, gfile, offset, length, write,
-                                   attr_ ? &breakdown : nullptr);
-  if (attr_) {
-    assert(breakdown.total() == done - now && "disk breakdown must sum to service time");
-    attr_record_disk(IoOp::Kind::kBypass, length, breakdown);
-  }
+void Simulator::submit(std::uint64_t id, Ticks now, IoKind kind, bool write, std::uint32_t file,
+                       Bytes offset, Bytes length, std::uint32_t waiter) {
+  DiskService service;
+  const Ticks done = disk_->submit(now, file, offset, length, write, &service);
   record_disk_traffic(now, done, length, write);
-  IoOp op;
-  op.kind = IoOp::Kind::kBypass;
-  op.notify_cache = false;
-  inflight_.emplace(id) = std::move(op);
-  if (spans_) {
-    spans_->async_begin(obs::track::kIoOps, id, "io", "bypass", now,
-                        {{"file", static_cast<std::int64_t>(gfile)}, {"bytes", length}});
-  }
+  const Bytes bs = params_.cache.block_size;
+  IoOp& op = inflight_.emplace(id);
+  op.kind = kind;
+  op.run = BlockRun{file, offset / bs, length / bs};
+  if (waiter != kNoProcess) op.waiters.push_back(waiter);
+  if (observer_) observer_->submitted(now, id, kind, write, file, length, service);
   push_event(done, EventKind::kIoDone, id);
-  return id;
 }
 
 void Simulator::issue_io(Ticks now, std::uint32_t pid) {
@@ -515,154 +313,93 @@ void Simulator::issue_io(Ticks now, std::uint32_t pid) {
   result_.cpu_busy += params_.overhead.fs_call;
   result_.overhead_time += params_.overhead.fs_call;
   const Ticks t = now + params_.overhead.fs_call;
-
-  // Deferred until we know the request is really proceeding: a space-wait
-  // retry re-enters this function and must not double-count.
-  auto account = [&] {
-    result_.logical_rate.add(t, static_cast<double>(req.length));
-    ++proc.io_count;
-    if (req.write) {
-      proc.bytes_written += req.length;
-    } else {
-      proc.bytes_read += req.length;
-    }
-  };
   const std::uint32_t gfile = global_file(pid, req.file);
-  if (attr_) attr_begin(now, t, proc, req, gfile);
+  if (observer_) observer_->issued(now, t, pid, req, gfile);
 
-  // --- No cache configured: straight to disk. -----------------------------
-  if (!cache_) {
-    account();
-    record_request(t, pid, req, /*cache_miss=*/true, /*readahead_hit=*/false);
-    const std::uint64_t id = submit_bypass(t, gfile, req.offset, req.length, req.write);
-    if (req.async) {
-      if (attr_) attr_finish(proc, t);
-      continue_running(t, pid, Ticks::zero());
-    } else {
-      just_submitted(id).waiters.push_back(pid);
-      block_for_io(t, proc, 1);
-    }
-    return;
-  }
-
-  // Eviction probe baseline: plan_read/plan_write/try_issue_readahead evict
-  // internally; a metrics delta afterwards tells us when (and how many).
-  const std::int64_t evictions_before = spans_ ? result_.cache.evictions : 0;
-
-  if (!req.write) {
-    // --- Read --------------------------------------------------------------
+  // What the request meets on its path below. A request with no cache, or
+  // larger than it, bypasses it and goes straight to disk.
+  bool bypass = !cache_;
+  bool cache_miss = true;
+  bool readahead_hit = false;
+  bool absorbed = false;
+  Ticks stall = Ticks::zero();
+  std::int32_t waits = 0;
+  const std::uint32_t waiter = req.async ? kNoProcess : pid;
+  const Bytes bs = params_.cache.block_size;
+  if (cache_ && !req.write) {
     const std::uint64_t first_op = next_op_;
     auto plan = cache_->plan_read(pid, gfile, req.offset, req.length, first_op);
     if (plan.space_wait) {
-      block_for_space(t, proc);
+      block(t, proc, 0);
       return;
     }
-    account();
-    note_evictions(evictions_before, t);
-    if (plan.bypass) {
-      record_request(t, pid, req, /*cache_miss=*/true, /*readahead_hit=*/false);
-      const std::uint64_t id = submit_bypass(t, gfile, req.offset, req.length, false);
-      if (req.async) {
-        continue_running(t, pid, Ticks::zero());
-      } else {
-        just_submitted(id).waiters.push_back(pid);
-        block_for_io(t, proc, 1);
+    note_evictions(t);
+    bypass = plan.bypass;
+    if (!bypass) {
+      cache_miss = !plan.full_hit;
+      readahead_hit = plan.readahead_hit;
+      next_op_ += plan.fetch_runs.size();
+      for (std::size_t i = 0; i < plan.fetch_runs.size(); ++i) {
+        // Submit under the id the cache tagged the run's blocks with.
+        const BlockRun& run = plan.fetch_runs[i];
+        submit(first_op + i, t, IoKind::kFetch, /*write=*/false, run.file,
+               run.first_block * bs, run.bytes(bs), waiter);
+        if (!req.async) ++waits;
       }
+      if (!req.async) {
+        for (const std::uint64_t join_id : plan.join_ops) {
+          IoOp* join = inflight_.find(join_id);
+          if (join == nullptr) continue;  // completed this very tick
+          join->waiters.push_back(pid);
+          ++waits;
+        }
+      }
+      if (plan.readahead) {
+        const std::uint64_t ra_id = next_op_;
+        if (auto run = cache_->try_issue_readahead(pid, *plan.readahead, ra_id)) {
+          ++next_op_;
+          submit(ra_id, t, IoKind::kReadahead, /*write=*/false, run->file,
+                 run->first_block * bs, run->bytes(bs), kNoProcess);
+        }
+        note_evictions(t);
+      }
+      if (waits == 0 && plan.full_hit) stall = hit_delay(req.length);
+    }
+  } else if (cache_) {
+    auto plan = cache_->plan_write(pid, gfile, req.offset, req.length, next_op_,
+                                   params_.cache.write_behind, t);
+    if (plan.space_wait) {
+      block(t, proc, 0);
       return;
     }
-    record_request(t, pid, req, /*cache_miss=*/!plan.full_hit, plan.readahead_hit);
-    next_op_ += plan.fetch_runs.size();
-    std::int32_t waits = 0;
-    for (std::size_t i = 0; i < plan.fetch_runs.size(); ++i) {
-      // Submit under the id the cache tagged the run's blocks with.
-      submit_run_with_id(first_op + i, t, plan.fetch_runs[i], /*write=*/false,
-                         IoOp::Kind::kFetch, req.async ? kNoProcess : pid);
+    note_evictions(t);
+    bypass = plan.bypass;
+    absorbed = plan.absorbed;
+    if (absorbed) {
+      cache_miss = false;
+      stall = hit_delay(req.length);
+    }
+    for (const BlockRun& run : plan.writethrough_runs) {
+      submit(next_op_++, t, IoKind::kWriteThrough, /*write=*/true, run.file,
+             run.first_block * bs, run.bytes(bs), waiter);
       if (!req.async) ++waits;
     }
-    if (!req.async) {
-      for (const std::uint64_t join_id : plan.join_ops) {
-        IoOp* join = inflight_.find(join_id);
-        if (join == nullptr) continue;  // completed this very tick
-        join->waiters.push_back(pid);
-        ++waits;
-      }
-    }
-    if (plan.readahead) {
-      const std::uint64_t ra_id = next_op_;
-      const std::int64_t ra_evictions_before = spans_ ? result_.cache.evictions : 0;
-      if (auto run = cache_->try_issue_readahead(pid, *plan.readahead, ra_id)) {
-        ++next_op_;
-        submit_run_with_id(ra_id, t, *run, /*write=*/false, IoOp::Kind::kReadAhead, kNoProcess);
-      }
-      note_evictions(ra_evictions_before, t);
-    }
-    if (waits == 0) {
-      const Ticks stall = plan.full_hit ? hit_delay(req.length) : Ticks::zero();
-      if (attr_) {
-        // A full hit served from read-ahead blocks is the prefetcher's
-        // credit; a plain hit is the cache's own service cost.
-        if (stall > Ticks::zero()) {
-          attr_add(proc, plan.readahead_hit ? obs::AttrComponent::kReadahead
-                                            : obs::AttrComponent::kHit,
-                   t + stall);
-        }
-        attr_finish(proc, t + stall);
-      }
-      continue_running(t, pid, stall);
-    } else {
-      block_for_io(t, proc, waits);
-    }
-    return;
+  }
+  if (bypass) {
+    submit(next_op_++, t, IoKind::kBypass, req.write, gfile, req.offset, req.length, waiter);
+    if (!req.async) waits = 1;
   }
 
-  // --- Write ---------------------------------------------------------------
-  auto plan = cache_->plan_write(pid, gfile, req.offset, req.length, next_op_,
-                                 params_.cache.write_behind, t);
-  if (plan.space_wait) {
-    block_for_space(t, proc);
-    return;
-  }
-  account();
-  note_evictions(evictions_before, t);
-  if (plan.bypass) {
-    record_request(t, pid, req, /*cache_miss=*/true, /*readahead_hit=*/false);
-    const std::uint64_t id = submit_bypass(t, gfile, req.offset, req.length, true);
-    if (req.async) {
-      if (attr_) attr_finish(proc, t);
-      continue_running(t, pid, Ticks::zero());
-    } else {
-      just_submitted(id).waiters.push_back(pid);
-      block_for_io(t, proc, 1);
-    }
-    return;
-  }
-  if (plan.absorbed) {
-    record_request(t, pid, req, /*cache_miss=*/false, /*readahead_hit=*/false);
-    const Ticks stall = hit_delay(req.length);
-    if (attr_) {
-      attr_add(proc, obs::AttrComponent::kAbsorb, t + stall);
-      attr_finish(proc, t + stall);
-    }
-    continue_running(t, pid, stall);
-    if (cache_->over_watermark()) trigger_flush(t);
-    return;
-  }
-  // Write-through.
-  record_request(t, pid, req, /*cache_miss=*/true, /*readahead_hit=*/false);
-  std::int32_t waits = 0;
-  for (const BlockRun& run : plan.writethrough_runs) {
-    const std::uint64_t id = submit_run(t, run, /*write=*/true, IoOp::Kind::kWriteThrough);
-    if (!req.async) {
-      just_submitted(id).waiters.push_back(pid);
-      ++waits;
-    }
-  }
+  result_.logical_rate.add(t, static_cast<double>(req.length));
+  ++proc.io_count;
+  (req.write ? proc.bytes_written : proc.bytes_read) += req.length;
+  if (observer_) observer_->served(t, pid, req, cache_miss, readahead_hit, stall, waits > 0);
   if (waits == 0) {
-    if (attr_) attr_finish(proc, t);
-    continue_running(t, pid, Ticks::zero());
+    continue_running(t, pid, stall);
   } else {
-    block_for_io(t, proc, waits);
+    block(t, proc, waits);
   }
+  if (absorbed && cache_->over_watermark()) trigger_flush(t);
 }
 
 void Simulator::on_io_done(Ticks now, std::uint64_t op_id) {
@@ -670,28 +407,28 @@ void Simulator::on_io_done(Ticks now, std::uint64_t op_id) {
   if (found == nullptr) return;
   IoOp op = std::move(*found);
   inflight_.erase(op_id);
-  if (spans_) spans_->async_end(obs::track::kIoOps, op_id, "io", io_kind_name(op.kind), now);
+  if (observer_) observer_->completed(now, op_id, op.kind);
 
-  if (cache_ && op.notify_cache) {
-    switch (op.kind) {
-      case IoOp::Kind::kFetch:
-      case IoOp::Kind::kReadAhead:
-        cache_->fetch_complete(op.run);
-        break;
-      case IoOp::Kind::kFlush:
-      case IoOp::Kind::kWriteThrough:
-        cache_->flush_complete(op.run);
-        break;
-      case IoOp::Kind::kBypass:
-        break;
-    }
+  switch (op.kind) {  // without a cache every op is a bypass
+    case IoKind::kFetch:
+    case IoKind::kReadahead:
+      cache_->fetch_complete(op.run);
+      break;
+    case IoKind::kFlush:
+    case IoKind::kWriteThrough:
+      cache_->flush_complete(op.run);
+      break;
+    case IoKind::kBypass:
+      break;
   }
   for (const std::uint32_t pid : op.waiters) {
     Proc& proc = procs_[pid - 1];
     if (proc.state != PState::kBlockedIo) continue;
     if (--proc.wait_count == 0) {
-      result_.overhead_time += params_.overhead.interrupt;
-      unblock(now, pid, params_.overhead.interrupt);
+      const Ticks interrupt = params_.overhead.interrupt;
+      result_.overhead_time += interrupt;
+      wake(now, proc, interrupt);
+      push_event(now + interrupt, EventKind::kDispatch, 0);
     }
   }
   wake_space_waiters(now);
@@ -701,15 +438,7 @@ void Simulator::wake_space_waiters(Ticks now) {
   if (space_waiters_.empty()) return;
   for (const std::uint32_t pid : space_waiters_) {
     Proc& proc = procs_[pid - 1];
-    if (proc.state != PState::kBlockedSpace) continue;
-    // Same clamp as unblock(): completions can land inside the fs_call window.
-    if (spans_) {
-      spans_->end(obs::track::kProcesses, pid, "blocked:space", std::max(now, proc.blocked_since));
-    }
-    if (attr_ && proc.attr_active) attr_add(proc, obs::AttrComponent::kSpace, now);
-    proc.blocked_total += now - proc.blocked_since;
-    proc.state = PState::kReady;
-    ready_.push_back(pid);
+    if (proc.state == PState::kBlockedSpace) wake(now, proc, Ticks::zero());
   }
   space_waiters_.clear();
   push_event(now, EventKind::kDispatch, 0);
@@ -719,13 +448,12 @@ void Simulator::trigger_flush(Ticks now, Ticks min_age) {
   if (!cache_) return;
   const auto runs = cache_->collect_flush_batch(params_.cache.max_flush_batch_blocks,
                                                 params_.cache.max_flush_run_blocks, now, min_age);
+  const Bytes bs = params_.cache.block_size;
   for (const BlockRun& run : runs) {
-    submit_run(now, run, /*write=*/true, IoOp::Kind::kFlush);
+    submit(next_op_++, now, IoKind::kFlush, /*write=*/true, run.file, run.first_block * bs,
+           run.bytes(bs), kNoProcess);
   }
-  if (spans_) {
-    spans_->counter(obs::track::kCache, "dirty_blocks", now, "blocks",
-                    cache_->dirty_block_count());
-  }
+  if (observer_) observer_->flushed(now, cache_->dirty_block_count());
 }
 
 void Simulator::on_flush_tick(Ticks now) {
@@ -742,8 +470,8 @@ void Simulator::on_counter_tick(Ticks now) {
   // Telemetry only: samples state, mutates nothing, so the event's presence
   // cannot change the simulation outcome (only event seq numbers shift, and
   // (time, seq) relative order among real events is preserved).
-  emit_counter_sample(now);
-  if (!drained()) push_event(now + params_.counter_interval, EventKind::kCounterTick, 0);
+  observer_->sample(now, cache_.get(), result_.cache, inflight_.size());
+  if (!drained()) push_event(now + observer_->counter_interval(), EventKind::kCounterTick, 0);
 }
 
 }  // namespace craysim::sim

@@ -17,17 +17,15 @@
 //    preempting the running one.
 #pragma once
 
-#include <array>
 #include <deque>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "obs/attr.hpp"
-
 #include "sim/cache.hpp"
 #include "sim/metrics.hpp"
+#include "sim/observer.hpp"
 #include "sim/params.hpp"
 #include "sim/storage.hpp"
 #include "util/flat_map.hpp"
@@ -96,33 +94,17 @@ class Simulator {
     std::int64_t io_count = 0;
     Bytes bytes_read = 0;
     Bytes bytes_written = 0;
-    // Latency attribution state for the logical request in flight; only
-    // touched when SimParams::attribution is set (see attr_begin/attr_add).
-    bool attr_active = false;   ///< an attributed op is between issue and finish
-    bool attr_started = false;  ///< at least one op issued (phase-gap detection)
-    std::uint32_t attr_phase = 0;  ///< burst epoch ordinal (obs::kAttrPhaseGap)
-    std::uint32_t attr_file = 0;   ///< global file id of the op in flight
-    Bytes attr_bytes = 0;
-    bool attr_write = false;
-    Ticks attr_issue;  ///< when issue_io first saw the request
-    Ticks attr_mark;   ///< end of the last stamped component
-    std::array<std::int64_t, obs::kAttrOpComponents> attr_comp{};
   };
 
   struct IoOp {
-    enum class Kind : std::uint8_t { kFetch, kReadAhead, kFlush, kWriteThrough, kBypass };
-    Kind kind = Kind::kFetch;
-    BlockRun run;        ///< meaningless for kBypass
-    bool notify_cache = true;
+    IoKind kind = IoKind::kFetch;
+    BlockRun run;  ///< the cache blocks it moves; meaningless for kBypass
     // Almost every op has zero or one waiter; inline storage avoids a heap
     // allocation per submitted I/O.
     util::SmallVec<std::uint32_t, 2> waiters;
   };
 
   static constexpr std::uint32_t kNoProcess = 0;
-
-  /// Span name for an I/O operation kind ("fetch", "flush", ...).
-  [[nodiscard]] static const char* io_kind_name(IoOp::Kind kind);
 
   void push_event(Ticks time, EventKind kind, std::uint64_t arg);
   void on_dispatch(Ticks now);
@@ -134,9 +116,11 @@ class Simulator {
   void issue_io(Ticks now, std::uint32_t pid);
   void continue_running(Ticks now, std::uint32_t pid, Ticks extra_stall);
   void advance_to_next_request(Proc& proc);
-  void block_for_io(Ticks now, Proc& proc, std::int32_t waits);
-  void block_for_space(Ticks now, Proc& proc);
-  void unblock(Ticks now, std::uint32_t pid, Ticks extra_delay);
+  /// Blocks `proc` on `io_waits` transfers, or on cache space when zero.
+  void block(Ticks now, Proc& proc, std::int32_t io_waits);
+  /// Makes a blocked process ready; an I/O wake also moves it to its next
+  /// request.
+  void wake(Ticks now, Proc& proc, Ticks interrupt);
   void finish_process(Ticks now, Proc& proc);
   void trigger_flush(Ticks now, Ticks min_age = Ticks::zero());
   void wake_space_waiters(Ticks now);
@@ -145,51 +129,19 @@ class Simulator {
   /// Stops the idle clock of `cpu` (a process is about to run there).
   void account_idle_until(Ticks now, std::int32_t cpu);
 
-  /// Emits a cache `evict` instant when evictions advanced past `before`
-  /// (cheap metric-delta probe; no BufferCache changes needed). No-op when
-  /// telemetry is off.
-  void note_evictions(std::int64_t before, Ticks t);
-  /// Names the Perfetto tracks (metadata events) once per run.
-  void emit_span_metadata();
-  /// One counter sample across cache occupancy, read-ahead tallies, inflight
-  /// ops, and per-disk queue depth. Read-only over sim state: inserting or
-  /// removing samples must never change the simulation outcome.
-  void emit_counter_sample(Ticks now);
+  /// Reports the cache's eviction count to the observer after a plan or a
+  /// read-ahead may have evicted.
+  void note_evictions(Ticks t);
   /// All processes done, no inflight I/O, cache drained — the run() loop's
   /// exit condition, also used to stop self-rescheduling ticks.
   [[nodiscard]] bool drained() const;
 
   void record_disk_traffic(Ticks start, Ticks done, Bytes bytes, bool write);
-  /// Appends an annotated logical record when SimParams::record_trace.
-  void record_request(Ticks now, std::uint32_t pid, const workload::Request& req,
-                      bool cache_miss, bool readahead_hit);
-  /// Issues one disk transfer for a block run; returns the op id.
-  std::uint64_t submit_run(Ticks now, const BlockRun& run, bool write, IoOp::Kind kind);
-  /// Same, but under a caller-chosen op id (fetch runs must carry the id the
-  /// cache tagged their blocks with).
-  void submit_run_with_id(std::uint64_t id, Ticks now, const BlockRun& run, bool write,
-                          IoOp::Kind kind, std::uint32_t sync_waiter);
-  std::uint64_t submit_bypass(Ticks now, std::uint32_t gfile, Bytes offset, Bytes length,
-                              bool write);
-  /// The op a submit_* call just placed in inflight_. Asserts it is present:
-  /// FlatMap64 pointers die on the next emplace, so a missing id here means a
-  /// bookkeeping bug that must fail loudly (in debug builds) rather than
-  /// dereference null.
-  [[nodiscard]] IoOp& just_submitted(std::uint64_t id);
-  /// Latency attribution stamping (call sites guard on attr_ != nullptr, so
-  /// the off path is one predicted branch). attr_begin opens the record for
-  /// `proc`'s pending request — or, on a space-wait retry re-entry, charges
-  /// the not-running gap to kSched — and charges now→t to kFsCall; attr_add
-  /// charges mark→until to one component (signed, unclamped — the same
-  /// arithmetic as blocked_total, which is what makes miss+space match the
-  /// summed blocked time exactly); attr_finish commits the record ending at
-  /// `end`, where the telescoped components sum to end - attr_issue exactly.
-  void attr_begin(Ticks now, Ticks t, Proc& proc, const workload::Request& req,
-                  std::uint32_t gfile);
-  void attr_add(Proc& proc, obs::AttrComponent component, Ticks until);
-  void attr_finish(Proc& proc, Ticks end);
-  void attr_record_disk(IoOp::Kind kind, Bytes bytes,
-                        const obs::AttrDiskBreakdown& breakdown);
+  /// Issues one disk transfer of `length` bytes at `offset` of global file
+  /// `file` as op `id`. Cache ops must carry the id the cache tagged their
+  /// blocks with. A `waiter` other than kNoProcess waits on the transfer.
+  void submit(std::uint64_t id, Ticks now, IoKind kind, bool write, std::uint32_t file,
+              Bytes offset, Bytes length, std::uint32_t waiter);
   [[nodiscard]] std::uint32_t global_file(std::uint32_t pid, std::uint32_t file) const {
     return (pid << 20) | file;
   }
@@ -219,9 +171,7 @@ class Simulator {
   SimResult result_;
   Ticks now_;
   std::size_t finished_ = 0;
-  std::uint32_t next_trace_op_ = 1;
-  obs::SpanRecorder* spans_ = nullptr;  ///< copied from params; null = off
-  obs::AttributionLedger* attr_ = nullptr;  ///< copied from params; null = off
+  std::unique_ptr<SimObserver> observer_;  ///< null unless a view is on
 };
 
 }  // namespace craysim::sim

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/attr.hpp"
-#include "obs/span.hpp"
 #include "util/error.hpp"
 
 namespace craysim::sim {
@@ -114,7 +112,7 @@ std::size_t DiskModel::run_fault_schedule(std::size_t idx, Ticks& fault_delay) {
 }
 
 Ticks DiskModel::submit(Ticks now, std::uint32_t file, Bytes offset, Bytes length, bool write,
-                        obs::AttrDiskBreakdown* attr) {
+                        DiskService* service) {
   const std::int64_t pos = position_of(file, offset);
   std::size_t idx = file % disks_.size();
   Ticks fault_delay = Ticks::zero();
@@ -130,9 +128,9 @@ Ticks DiskModel::submit(Ticks now, std::uint32_t file, Bytes offset, Bytes lengt
   }
   DiskState& disk = disks_[idx];
 
-  // The completion time is the integer sum of these named terms; the
-  // attribution breakdown reports the identical terms, so attributed and
-  // plain runs stay bit-identical (integer addition reassociates exactly).
+  // The completion time is the integer sum of these named terms; `service`
+  // reports the identical terms, so observed and plain runs stay
+  // bit-identical (integer addition reassociates exactly).
   const Ticks transfer = transfer_time(length);
   Ticks seek = Ticks::zero();
   Ticks rotation = Ticks::zero();
@@ -157,13 +155,9 @@ Ticks DiskModel::submit(Ticks now, std::uint32_t file, Bytes offset, Bytes lengt
     metrics_.queue_wait_time += start - now;
     disk.free_at = start + access;
   }
-  if (attr != nullptr) {
-    attr->queue = start - now;
-    attr->overhead = params_.controller_overhead;
-    attr->seek = seek;
-    attr->rotation = rotation;
-    attr->transfer = transfer;
-    attr->fault = fault_delay;
+  if (service != nullptr) {
+    *service = {static_cast<std::uint32_t>(idx), start - now, params_.controller_overhead,
+                seek, rotation, transfer, fault_delay};
   }
   metrics_.busy_time += access;
   if (write) {
@@ -173,30 +167,7 @@ Ticks DiskModel::submit(Ticks now, std::uint32_t file, Bytes offset, Bytes lengt
     ++metrics_.read_ops;
     metrics_.bytes_read += length;
   }
-  if (spans_) {
-    const auto tid = static_cast<std::uint32_t>(idx);
-    if (start > now) {
-      spans_->complete(obs::track::kDisks, tid, "queue", now, start - now);
-    }
-    spans_->complete(obs::track::kDisks, tid, write ? "write" : "read", start, access,
-                     {{"bytes", length}, {"file", static_cast<std::int64_t>(file)}});
-    if (pending_done_.empty()) pending_done_.resize(disks_.size());
-    pending_done_[idx].push_back(start + access);
-  }
   return start + access;
-}
-
-void DiskModel::sample_queue_depth_counters(Ticks now) {
-  if (spans_ == nullptr) return;
-  if (pending_done_.empty()) pending_done_.resize(disks_.size());
-  for (std::size_t d = 0; d < pending_done_.size(); ++d) {
-    auto& pending = pending_done_[d];
-    pending.erase(std::remove_if(pending.begin(), pending.end(),
-                                 [now](Ticks done) { return done <= now; }),
-                  pending.end());
-    spans_->counter(obs::track::kDisks, "queue_depth.disk" + std::to_string(d), now, "ops",
-                    static_cast<std::int64_t>(pending.size()));
-  }
 }
 
 }  // namespace craysim::sim

@@ -20,11 +20,23 @@
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
-namespace craysim::obs {
-struct AttrDiskBreakdown;
-}
-
 namespace craysim::sim {
+
+/// How one transfer was served: the disk that took it and the additive parts
+/// of its service time (completion minus submission is their sum).
+struct DiskService {
+  std::uint32_t disk = 0;  ///< index of the serving disk (after any redirect)
+  Ticks queue;     ///< FIFO wait behind earlier transfers (queueing mode only)
+  Ticks overhead;  ///< controller overhead
+  Ticks seek;
+  Ticks rotation;
+  Ticks transfer;  ///< data movement at streaming rate
+  Ticks fault;     ///< injected retry/backoff/spike delay
+
+  [[nodiscard]] Ticks total() const {
+    return queue + overhead + seek + rotation + transfer + fault;
+  }
+};
 
 class DiskModel {
  public:
@@ -42,24 +54,11 @@ class DiskModel {
   /// goes offline and its I/Os redirect to the next surviving disk, and the
   /// simulation keeps running as long as one disk lives. Throws FaultError
   /// only when no device can complete the transfer.
-  /// `attr`, when non-null, receives the additive service-time decomposition
-  /// (queue/overhead/seek/rotation/transfer/fault; their sum equals the
-  /// returned completion time minus `now`). The breakdown is computed from
-  /// the same integer terms the completion time sums, so passing it never
-  /// changes the result.
+  /// `service`, when non-null, receives the serving disk and the service
+  /// time's parts. They are the same integer terms the completion time sums,
+  /// so asking for them never changes the result.
   [[nodiscard]] Ticks submit(Ticks now, std::uint32_t file, Bytes offset, Bytes length,
-                             bool write, obs::AttrDiskBreakdown* attr = nullptr);
-
-  /// Attaches a sim-time span sink: each transfer then emits `queue` and
-  /// `read`/`write` slices on the disk's track (obs::track::kDisks, tid =
-  /// disk index). Null (the default) disables emission entirely.
-  void set_spans(obs::SpanRecorder* spans) { spans_ = spans; }
-
-  /// Emits one `queue_depth.disk<N>` counter sample per disk at `now`
-  /// (transfers submitted but not yet complete). Tracking of outstanding
-  /// completion times only happens while a span sink is attached, so the
-  /// telemetry-off path pays nothing; with no sink this is a no-op.
-  void sample_queue_depth_counters(Ticks now);
+                             bool write, DiskService* service = nullptr);
 
   [[nodiscard]] const DeviceMetrics& metrics() const { return metrics_; }
   /// Devices still accepting I/O (== disk_count until a permanent failure).
@@ -105,11 +104,6 @@ class DiskModel {
   DeviceMetrics metrics_;
   std::optional<faults::FaultInjector> injector_;
   std::int32_t online_count_ = 0;
-  obs::SpanRecorder* spans_ = nullptr;  ///< non-owning; null = no telemetry
-  /// Outstanding completion times per disk, kept only while spans_ is set
-  /// (counter sampling needs instantaneous queue depth; the model itself
-  /// never looks back at completed transfers).
-  std::vector<std::vector<Ticks>> pending_done_;
 };
 
 }  // namespace craysim::sim

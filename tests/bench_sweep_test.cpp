@@ -142,5 +142,24 @@ TEST(PaperSweepDeathTest, RunnerConfigErrorsExitTwo) {
       testing::ExitedWithCode(2), "chaos.hang_rate requires point_deadline");
 }
 
+TEST(PaperSweepDeathTest, DeadlineStopsTheSimulation) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // A point far longer than its deadline must be cut off inside the event
+  // loop through SimParams::cancel, and settle as timed out.
+  const char* argv[] = {"bench", "--deadline", "0.001"};
+  EXPECT_EXIT(
+      {
+        bench::PaperSweep sweep(3, argv);
+        (void)sweep.run(std::vector<Bytes>{4}, [](Bytes) { return "4 MB"; }, cache_params,
+                        [](const sim::SimParams& params) {
+                          sim::Simulator simulator(params);
+                          simulator.add_app(workload::make_profile(workload::AppId::kVenus));
+                          simulator.add_app(workload::make_profile(workload::AppId::kVenus));
+                          return simulator.run();
+                        });
+      },
+      testing::ExitedWithCode(1), "sweep point 0 failed \\(timeout, 1 attempts\\)");
+}
+
 }  // namespace
 }  // namespace craysim

@@ -194,6 +194,28 @@ TEST(AttrConservation, NoCacheBypassSyncAndAsync) {
   EXPECT_EQ(result.attr.total.ops, 4);
 }
 
+TEST(AttrConservation, AsyncBypassOfASmallCacheClosesEachRequest) {
+  // Requests larger than the cache go straight to disk. An async one returns
+  // at submit time, so its record must close there, for reads as for writes;
+  // left open, it would swallow the next request and its compute as kSched.
+  for (const bool write : {false, true}) {
+    sim::SimParams params = sim::SimParams::paper_main_memory(256 * kKiB);
+    obs::AttributionLedger ledger;
+    params.attribution = &ledger;
+    sim::Simulator simulator(params);
+    simulator.add_process("big", std::make_unique<ScriptedSource>(std::vector{
+                                     req(0.01, 1, 0, 320 * kKiB, write, /*async=*/true),
+                                     req(0.01, 1, 320 * kKiB, 320 * kKiB, write, true),
+                                     req(0.01, 2, 0, 4 * kKiB, /*write=*/false),
+                                 }));
+    const sim::SimResult result = simulator.run();
+    expect_conserved(result);
+    EXPECT_EQ(ledger.ops(), 3) << (write ? "writes" : "reads");
+    EXPECT_EQ(result.attr.component(obs::AttrComponent::kSched), 0)
+        << (write ? "writes" : "reads");
+  }
+}
+
 TEST(AttrPhases, ComputeGapStartsNewEpoch) {
   // Requests separated by >= kAttrPhaseGap of pure compute land in distinct
   // burst epochs; back-to-back requests share one.

@@ -13,7 +13,8 @@ Usage:
 
 Checks (any failure exits nonzero, printing what broke):
   Perfetto (Chrome trace-event JSON), including SpanRecorderPool merges
-  where every sweep point owns a disjoint pid namespace:
+  where every sweep point owns a disjoint pid namespace. The file is parsed
+  one event at a time, so memory stays flat however large the trace:
     * file parses, has a "traceEvents" list with at least one event
     * timestamps are monotonically nondecreasing in file order
     * B/E events balance with stack discipline per (pid, tid) — a pid
@@ -90,23 +91,125 @@ def open_or_fail(path):
         fail(f"{path}: cannot open: {e.strerror or e}")
 
 
-def validate_perfetto(path, min_processes=0):
-    with open_or_fail(path) as f:
-        try:
-            data = json.load(f)
-        except json.JSONDecodeError as e:
-            fail(f"{path}: not valid JSON: {e}")
-    events = data.get("traceEvents")
-    if not isinstance(events, list) or not events:
-        fail(f"{path}: missing or empty traceEvents array")
+class JsonStream:
+    """Incremental reader of one JSON document: values are decoded one at a
+    time from a sliding window, so a multi-gigabyte trace never sits in
+    memory whole."""
 
+    CHUNK = 1 << 20
+    MAX_VALUE = 1 << 26  # no single trace event comes near 64 MiB
+    WHITESPACE = re.compile(r"[ \t\n\r]*")
+
+    def __init__(self, f, path):
+        self.f = f
+        self.path = path
+        self.buf = ""
+        self.pos = 0
+        self.eof = False
+        self.decoder = json.JSONDecoder()
+
+    def fill(self):
+        """Appends the next chunk; False at end of file."""
+        chunk = self.f.read(self.CHUNK)
+        if not chunk:
+            self.eof = True
+            return False
+        self.buf = self.buf[self.pos:] + chunk
+        self.pos = 0
+        return True
+
+    def peek(self):
+        """The next non-whitespace character, or "" at end of file."""
+        while True:
+            self.pos = self.WHITESPACE.match(self.buf, self.pos).end()
+            if self.pos < len(self.buf) or not self.fill():
+                return self.buf[self.pos:self.pos + 1]
+
+    def expect(self, char):
+        if self.peek() != char:
+            fail(f"{self.path}: not valid JSON: expected '{char}' "
+                 f"near {self.buf[self.pos:self.pos + 40]!r}")
+        self.pos += 1
+
+    def value(self):
+        self.peek()
+        while True:
+            try:
+                obj, end = self.decoder.raw_decode(self.buf, self.pos)
+            except json.JSONDecodeError as e:
+                if not self.eof and len(self.buf) - self.pos < self.MAX_VALUE and self.fill():
+                    continue
+                fail(f"{self.path}: not valid JSON: {e.msg} near "
+                     f"{self.buf[e.pos:e.pos + 40]!r}")
+            # A number can end at the window's edge; look past it first.
+            if end == len(self.buf) and not self.eof and self.fill():
+                continue
+            self.pos = end
+            return obj
+
+    def members(self):
+        """Yields the keys of the top-level object; the caller consumes each
+        key's value before asking for the next."""
+        self.expect("{")
+        if self.peek() == "}":
+            self.pos += 1
+        else:
+            while True:
+                key = self.value()
+                if not isinstance(key, str):
+                    fail(f"{self.path}: not valid JSON: object key is not a string")
+                self.expect(":")
+                yield key
+                if self.peek() == ",":
+                    self.pos += 1
+                    continue
+                self.expect("}")
+                break
+        if self.peek() != "":
+            fail(f"{self.path}: not valid JSON: trailing data after the top-level object")
+
+    def elements(self):
+        """Yields the elements of the array that starts here."""
+        self.expect("[")
+        if self.peek() == "]":
+            self.pos += 1
+            return
+        while True:
+            yield self.value()
+            if self.peek() == ",":
+                self.pos += 1
+                continue
+            self.expect("]")
+            return
+
+
+def trace_events(path):
+    """Yields the traceEvents of a Chrome trace file one at a time."""
+    with open_or_fail(path) as f:
+        stream = JsonStream(f, path)
+        found = False
+        for key in stream.members():
+            if key == "traceEvents" and stream.peek() == "[":
+                found = True
+                yield from stream.elements()
+            else:
+                stream.value()
+        if not found:
+            fail(f"{path}: missing or empty traceEvents array")
+
+
+def validate_perfetto(path, min_processes=0):
     stacks = {}       # (pid, tid) -> [names] for B/E
     open_async = {}   # (pid, cat, id) -> open count for b/e
     named_pids = set()  # pids with process_name metadata
     timed_pids = set()  # pids that emitted a non-metadata event
     counters = 0
     last_ts = None
-    for i, e in enumerate(events):
+    count = 0
+    for i, e in enumerate(trace_events(path)):
+        count += 1
+        if not isinstance(e, dict):
+            fail(f"{path}: event {i} is not an object")
         ph = e.get("ph")
         if ph == "M":
             if e.get("name") == "process_name":
@@ -136,6 +239,8 @@ def validate_perfetto(path, min_processes=0):
             if open_async.get(key, 0) <= 0:
                 fail(f"{path}: event {i} async end without begin: {key}")
             open_async[key] -= 1
+            if not open_async[key]:
+                del open_async[key]
         elif ph == "X":
             if e.get("dur", 0) < 0:
                 fail(f"{path}: event {i} X with negative dur")
@@ -151,19 +256,20 @@ def validate_perfetto(path, min_processes=0):
                     fail(f"{path}: event {i} counter '{e.get('name')}' "
                          f"arg '{key}' is not numeric")
             counters += 1
+    if not count:
+        fail(f"{path}: missing or empty traceEvents array")
     for key, stack in stacks.items():
         if stack:
             fail(f"{path}: unclosed span '{stack[-1]}' on track {key}")
-    for key, count in open_async.items():
-        if count != 0:
-            fail(f"{path}: unclosed async span {key}")
+    for key in open_async:
+        fail(f"{path}: unclosed async span {key}")
     unnamed = timed_pids - named_pids
     if unnamed:
         fail(f"{path}: pids without process_name metadata: {sorted(unnamed)}")
     if min_processes and len(timed_pids) < min_processes:
         fail(f"{path}: only {len(timed_pids)} pid tracks, "
              f"need at least {min_processes}")
-    print(f"{path}: OK ({len(events)} events, {len(timed_pids)} pid tracks, "
+    print(f"{path}: OK ({count} events, {len(timed_pids)} pid tracks, "
           f"{counters} counter samples, monotonic, balanced)")
 
 
