@@ -30,65 +30,24 @@ bool starts_with_binary_magic(std::string_view text) {
 bool BinaryRecordEncoder::encode_to(const TraceRecord& record, std::vector<std::byte>& out) {
   validate(record);
   if (record.is_comment()) return false;  // binary dumps carried no comments
-  if (has_previous_ && record.start_time < previous_start_) {
+  if (table_.has_previous() && record.start_time < table_.previous_start()) {
     throw TraceFormatError("records must be encoded in start-time order");
   }
-  const std::uint64_t key = FileFieldState::key_of(record.process_id, record.file_id);
-  std::uint16_t compression = 0;
 
-  const bool omit_pid = has_previous_ && record.process_id == last_process_id_;
-  if (omit_pid) compression |= kNoProcessId;
-  const auto file_it = last_file_by_process_.find(record.process_id);
-  const bool omit_file =
-      file_it != last_file_by_process_.end() && file_it->second == record.file_id;
-  if (omit_file) compression |= kNoFileId;
-  const auto state_it = file_states_.find(key);
-  const FileFieldState* state = state_it != file_states_.end() ? &state_it->second : nullptr;
-  const bool omit_op = state != nullptr && state->has_operation &&
-                       state->last_operation_id == record.operation_id;
-  if (omit_op) compression |= kNoOperationId;
-  const bool omit_offset = state != nullptr && record.offset == state->next_sequential_offset;
-  if (omit_offset) compression |= kNoOffset;
-  const bool omit_length = state != nullptr && record.length == state->last_length;
-  if (omit_length) compression |= kNoLength;
-
-  Bytes offset_value = record.offset;
-  if (!omit_offset && offset_value != 0 && offset_value % kTraceBlockSize == 0) {
-    compression |= kOffsetInBlocks;
-    offset_value /= kTraceBlockSize;
-  }
-  Bytes length_value = record.length;
-  if (!omit_length && length_value != 0 && length_value % kTraceBlockSize == 0) {
-    compression |= kLengthInBlocks;
-    length_value /= kTraceBlockSize;
-  }
-  const Ticks start_delta =
-      has_previous_ ? record.start_time - previous_start_ : record.start_time;
-
+  const CompressedFields f = table_.compress(record);
   put_u16(out, record.record_type);
-  put_u16(out, compression);
-  if (!omit_offset) put_u32(out, static_cast<std::uint64_t>(offset_value), "offset");
-  if (!omit_length) put_u32(out, static_cast<std::uint64_t>(length_value), "length");
-  put_u32(out, static_cast<std::uint64_t>(start_delta.count()), "startTime");
+  put_u16(out, f.compression);
+  if (!(f.compression & kNoOffset)) put_u32(out, static_cast<std::uint64_t>(f.offset), "offset");
+  if (!(f.compression & kNoLength)) put_u32(out, static_cast<std::uint64_t>(f.length), "length");
+  put_u32(out, static_cast<std::uint64_t>(f.start_delta.count()), "startTime");
   put_u32(out, static_cast<std::uint64_t>(record.completion_time.count()), "completionTime");
-  if (!omit_op) put_u32(out, record.operation_id, "operationId");
-  if (!omit_file) put_u32(out, record.file_id, "fileId");
-  if (!omit_pid) put_u32(out, record.process_id, "processId");
+  if (!(f.compression & kNoOperationId)) put_u32(out, record.operation_id, "operationId");
+  if (!(f.compression & kNoFileId)) put_u32(out, record.file_id, "fileId");
+  if (!(f.compression & kNoProcessId)) put_u32(out, record.process_id, "processId");
   put_u32(out, static_cast<std::uint64_t>(record.process_time.count()), "processTime");
 
-  has_previous_ = true;
-  previous_start_ = record.start_time;
-  last_process_id_ = record.process_id;
-  last_file_by_process_[record.process_id] = record.file_id;
-  file_states_[key].advance(record);
+  table_.commit(record, f.last_file, f.state);
   return true;
-}
-
-void BinaryRecordEncoder::reset() {
-  has_previous_ = false;
-  last_process_id_ = 0;
-  last_file_by_process_.clear();
-  file_states_.clear();
 }
 
 BinaryRecordDecoder::Decoded BinaryRecordDecoder::decode(std::span<const std::byte> data) {
@@ -122,23 +81,22 @@ BinaryRecordDecoder::Decoded BinaryRecordDecoder::decode(std::span<const std::by
 
   if (pid_field) {
     record.process_id = *pid_field;
-  } else if (has_last_process_) {
-    record.process_id = last_process_id_;
+  } else if (table_.has_previous()) {
+    record.process_id = table_.previous_process();
   } else {
     throw TraceFormatError("binary: TRACE_NO_PROCESSID on first record");
   }
+  std::uint32_t* last_file = nullptr;
   if (file_field) {
     record.file_id = *file_field;
   } else {
-    const auto it = last_file_by_process_.find(record.process_id);
-    if (it == last_file_by_process_.end()) {
+    last_file = table_.last_file(record.process_id);
+    if (last_file == nullptr) {
       throw TraceFormatError("binary: TRACE_NO_FILEID with no prior record for process");
     }
-    record.file_id = it->second;
+    record.file_id = *last_file;
   }
-  const std::uint64_t key = FileFieldState::key_of(record.process_id, record.file_id);
-  const auto state_it = file_states_.find(key);
-  FileFieldState* state = state_it != file_states_.end() ? &state_it->second : nullptr;
+  FileFieldState* state = table_.file_state(record.process_id, record.file_id);
   if (op_field) {
     record.operation_id = *op_field;
   } else if (state != nullptr && state->has_operation) {
@@ -160,24 +118,12 @@ BinaryRecordDecoder::Decoded BinaryRecordDecoder::decode(std::span<const std::by
   } else {
     throw TraceFormatError("binary: TRACE_NO_LENGTH with no prior access to file");
   }
-  record.start_time = has_previous_ ? previous_start_ + start_delta : start_delta;
+  record.start_time =
+      table_.has_previous() ? table_.previous_start() + start_delta : start_delta;
   validate(record);
 
-  has_previous_ = true;
-  previous_start_ = record.start_time;
-  has_last_process_ = true;
-  last_process_id_ = record.process_id;
-  last_file_by_process_[record.process_id] = record.file_id;
-  file_states_[key].advance(record);
+  table_.commit(record, last_file, state);
   return {record, cursor.consumed()};
-}
-
-void BinaryRecordDecoder::reset() {
-  has_previous_ = false;
-  has_last_process_ = false;
-  last_process_id_ = 0;
-  last_file_by_process_.clear();
-  file_states_.clear();
 }
 
 // ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "trace/codec.hpp"
@@ -64,14 +63,10 @@ class BinaryRecordEncoder {
   bool encode_to(const TraceRecord& record, std::vector<std::byte>& out);
 
   /// Forgets all relative-field state (e.g. between independent traces).
-  void reset();
+  void reset() { table_.clear(); }
 
  private:
-  bool has_previous_ = false;
-  Ticks previous_start_;
-  std::uint32_t last_process_id_ = 0;
-  std::unordered_map<std::uint32_t, std::uint32_t> last_file_by_process_;
-  std::unordered_map<std::uint64_t, FileFieldState> file_states_;  // key: FileFieldState::key_of
+  RelativeFieldTable table_;
 };
 
 /// Stateful record-at-a-time decoder mirroring BinaryRecordEncoder. Feeding
@@ -90,15 +85,10 @@ class BinaryRecordDecoder {
   /// flag references state no prior record established.
   [[nodiscard]] Decoded decode(std::span<const std::byte> data);
 
-  void reset();
+  void reset() { table_.clear(); }
 
  private:
-  bool has_previous_ = false;
-  Ticks previous_start_;
-  std::uint32_t last_process_id_ = 0;
-  bool has_last_process_ = false;
-  std::unordered_map<std::uint32_t, std::uint32_t> last_file_by_process_;
-  std::unordered_map<std::uint64_t, FileFieldState> file_states_;  // key: FileFieldState::key_of
+  RelativeFieldTable table_;
 };
 
 /// Writes a framed binary trace one record at a time. The frame header goes

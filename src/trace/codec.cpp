@@ -1,6 +1,5 @@
 #include "trace/codec.hpp"
 
-#include <array>
 #include <charconv>
 
 #include "util/error.hpp"
@@ -17,95 +16,148 @@ void append_int(std::string& out, std::int64_t value) {
   out.append(buf, ptr);
 }
 
-/// Walks the space-delimited tokens of a line in place — the zero-copy
-/// replacement for split(), which materialized a vector of views per record
-/// on the decode hot path. Runs of spaces count as one delimiter, matching
-/// split()'s empty-token dropping.
+/// Magnitude bound on every value field: 2^50 bytes (1 PiB) / ticks (~350
+/// years). Far beyond any real trace, but small enough that the block-size
+/// rescale and running start-time sum in decode_line can never overflow
+/// int64 on hostile input.
+constexpr std::int64_t kFieldLimit = std::int64_t{1} << 50;
+
+/// Longest digit run TokenCursor::next_plain takes: every such value lies
+/// within kFieldLimit, so the fast path needs no range check.
+constexpr std::size_t kMaxPlainDigits = 15;
+static_assert(999'999'999'999'999 < kFieldLimit);
+
+/// Walks the space-delimited tokens of a line in place. Runs of spaces count
+/// as one delimiter.
 class TokenCursor {
  public:
   explicit TokenCursor(std::string_view text) : text_(text) {}
 
   /// Returns the next token, or nullopt when the line is exhausted.
   std::optional<std::string_view> next() {
-    while (pos_ < text_.size() && text_[pos_] == ' ') ++pos_;
+    skip_spaces();
     if (pos_ >= text_.size()) return std::nullopt;
     const std::size_t start = pos_;
     while (pos_ < text_.size() && text_[pos_] != ' ') ++pos_;
     return text_.substr(start, pos_ - start);
   }
 
+  /// The fast path for the common token: a plain [0-9]{1,15} (with a
+  /// leading '-' when `allow_minus`) that ends at a space or at the end of
+  /// the line. Consumes it and returns its value, accumulated in the same
+  /// pass that delimits it. Any other token is left for next() and the
+  /// general parser, which alone decide what tabs, CRs, '+', hex, longer
+  /// digit runs and junk mean; on such a token, or none, this returns
+  /// nullopt.
+  std::optional<std::int64_t> next_plain(bool allow_minus) {
+    skip_spaces();
+    std::size_t i = pos_;
+    const bool negative = allow_minus && i < text_.size() && text_[i] == '-';
+    if (negative) ++i;
+    const std::size_t digits = i;
+    std::int64_t value = 0;
+    for (; i < text_.size() && i - digits < kMaxPlainDigits; ++i) {
+      const auto digit = static_cast<unsigned>(text_[i] - '0');
+      if (digit > 9) break;
+      value = value * 10 + digit;
+    }
+    if (i == digits || (i < text_.size() && text_[i] != ' ')) return std::nullopt;
+    pos_ = i;
+    return negative ? -value : value;
+  }
+
+  /// The unconsumed rest of the line, from the delimiter after the last
+  /// token taken.
+  [[nodiscard]] std::string_view rest() const { return text_.substr(pos_); }
+
  private:
+  void skip_spaces() {
+    while (pos_ < text_.size() && text_[pos_] == ' ') ++pos_;
+  }
+
   std::string_view text_;
   std::size_t pos_ = 0;
 };
 
+/// The general parse of a value field, for every token next_plain declines.
+/// Throws TraceFormatError for a missing, unparseable or out-of-range field.
+std::int64_t parse_field(TokenCursor& cursor, const char* field, std::string_view line) {
+  const auto token = cursor.next();
+  if (!token) {
+    throw TraceFormatError(std::string("missing field '") + field + "' in: " + std::string(line));
+  }
+  const auto v = parse_int(*token);
+  if (!v) {
+    throw TraceFormatError(std::string("unparseable field '") + field + "': " +
+                           std::string(*token));
+  }
+  if (*v > kFieldLimit || *v < -kFieldLimit) {
+    throw TraceFormatError(std::string("field '") + field + "' out of range: " +
+                           std::string(*token));
+  }
+  return *v;
+}
+
 }  // namespace
+
+CompressedFields RelativeFieldTable::compress(const TraceRecord& record) {
+  CompressedFields out;
+  if (has_previous_ && record.process_id == previous_process_) out.compression |= kNoProcessId;
+
+  out.last_file = last_file(record.process_id);
+  if (out.last_file != nullptr && *out.last_file == record.file_id) {
+    out.compression |= kNoFileId;
+  }
+
+  out.state = file_state(record.process_id, record.file_id);
+  const FileFieldState* state = out.state;
+  if (state != nullptr && state->has_operation &&
+      state->last_operation_id == record.operation_id) {
+    out.compression |= kNoOperationId;
+  }
+  if (state != nullptr && record.offset == state->next_sequential_offset) {
+    out.compression |= kNoOffset;
+  }
+  if (state != nullptr && record.length == state->last_length) out.compression |= kNoLength;
+
+  out.offset = record.offset;
+  if (!(out.compression & kNoOffset) && out.offset != 0 && out.offset % kTraceBlockSize == 0) {
+    out.compression |= kOffsetInBlocks;
+    out.offset /= kTraceBlockSize;
+  }
+  out.length = record.length;
+  if (!(out.compression & kNoLength) && out.length != 0 && out.length % kTraceBlockSize == 0) {
+    out.compression |= kLengthInBlocks;
+    out.length /= kTraceBlockSize;
+  }
+
+  out.start_delta = has_previous_ ? record.start_time - previous_start_ : record.start_time;
+  return out;
+}
 
 std::string AsciiTraceEncoder::encode(const TraceRecord& record) {
   validate(record);
   if (record.is_comment()) {
     throw TraceFormatError("use encode_comment for comment records");
   }
-  if (has_previous_ && record.start_time < previous_start_) {
+  if (table_.has_previous() && record.start_time < table_.previous_start()) {
     throw TraceFormatError("records must be encoded in start-time order");
   }
 
-  std::uint16_t compression = 0;
-  const std::uint64_t key = FileFieldState::key_of(record.process_id, record.file_id);
-
-  const bool omit_pid = has_previous_ && record.process_id == last_process_id_;
-  if (omit_pid) compression |= kNoProcessId;
-
-  const auto file_it = last_file_by_process_.find(record.process_id);
-  const bool omit_file =
-      file_it != last_file_by_process_.end() && file_it->second == record.file_id;
-  if (omit_file) compression |= kNoFileId;
-
-  const auto state_it = file_states_.find(key);
-  const FileFieldState* state = state_it != file_states_.end() ? &state_it->second : nullptr;
-
-  const bool omit_op =
-      state != nullptr && state->has_operation && state->last_operation_id == record.operation_id;
-  if (omit_op) compression |= kNoOperationId;
-
-  const bool omit_offset = state != nullptr && record.offset == state->next_sequential_offset;
-  if (omit_offset) compression |= kNoOffset;
-
-  const bool omit_length = state != nullptr && record.length == state->last_length;
-  if (omit_length) compression |= kNoLength;
-
-  Bytes offset_value = record.offset;
-  if (!omit_offset && offset_value != 0 && offset_value % kTraceBlockSize == 0) {
-    compression |= kOffsetInBlocks;
-    offset_value /= kTraceBlockSize;
-  }
-  Bytes length_value = record.length;
-  if (!omit_length && length_value != 0 && length_value % kTraceBlockSize == 0) {
-    compression |= kLengthInBlocks;
-    length_value /= kTraceBlockSize;
-  }
-
-  const Ticks start_delta = has_previous_ ? record.start_time - previous_start_
-                                          : record.start_time;
-
+  const CompressedFields f = table_.compress(record);
   std::string line;
   append_int(line, record.record_type);
-  append_int(line, compression);
-  if (!omit_offset) append_int(line, offset_value);
-  if (!omit_length) append_int(line, length_value);
-  append_int(line, start_delta.count());
+  append_int(line, f.compression);
+  if (!(f.compression & kNoOffset)) append_int(line, f.offset);
+  if (!(f.compression & kNoLength)) append_int(line, f.length);
+  append_int(line, f.start_delta.count());
   append_int(line, record.completion_time.count());
-  if (!omit_op) append_int(line, record.operation_id);
-  if (!omit_file) append_int(line, record.file_id);
-  if (!omit_pid) append_int(line, record.process_id);
+  if (!(f.compression & kNoOperationId)) append_int(line, record.operation_id);
+  if (!(f.compression & kNoFileId)) append_int(line, record.file_id);
+  if (!(f.compression & kNoProcessId)) append_int(line, record.process_id);
   append_int(line, record.process_time.count());
 
-  // Update relative-field state.
-  has_previous_ = true;
-  previous_start_ = record.start_time;
-  last_process_id_ = record.process_id;
-  last_file_by_process_[record.process_id] = record.file_id;
-  file_states_[key].advance(record);
+  table_.commit(record, f.last_file, f.state);
   return line;
 }
 
@@ -118,60 +170,38 @@ std::string AsciiTraceEncoder::encode_comment(std::string_view text) const {
   return line;
 }
 
-void AsciiTraceEncoder::reset() {
-  has_previous_ = false;
-  previous_start_ = Ticks::zero();
-  last_process_id_ = 0;
-  last_file_by_process_.clear();
-  file_states_.clear();
-}
-
 std::optional<TraceRecord> AsciiTraceDecoder::decode_line(std::string_view line) {
   const std::string_view trimmed = trim(line);
   if (trimmed.empty()) return std::nullopt;
 
-  // Fast path for the comment marker so free text is not tokenized.
-  const std::size_t first_space = trimmed.find(' ');
-  const std::string_view first_tok =
-      first_space == std::string_view::npos ? trimmed : trimmed.substr(0, first_space);
-  const auto type_value = parse_uint(first_tok);
-  if (!type_value) throw TraceFormatError("unparseable record type: '" + std::string(first_tok) + "'");
-  if (*type_value > 0xffff) throw TraceFormatError("record type out of range");
-  if (*type_value == kTraceComment) {
-    last_comment_ = first_space == std::string_view::npos
-                        ? std::string()
-                        : std::string(trim(trimmed.substr(first_space)));
+  TokenCursor cursor(trimmed);
+  std::uint64_t type_value = 0;
+  if (const auto plain = cursor.next_plain(false)) {
+    type_value = static_cast<std::uint64_t>(*plain);
+  } else {
+    // The line is trimmed, so its first token is there: it may be hex.
+    const std::string_view first_tok = *cursor.next();
+    const auto parsed = parse_uint(first_tok);
+    if (!parsed) {
+      throw TraceFormatError("unparseable record type: '" + std::string(first_tok) + "'");
+    }
+    type_value = *parsed;
+  }
+  if (type_value > 0xffff) throw TraceFormatError("record type out of range");
+  if (type_value == kTraceComment) {
+    // Free text: the rest of the line is not tokenized.
+    last_comment_ = std::string(trim(cursor.rest()));
     ++comment_count_;
     return std::nullopt;
   }
 
-  TokenCursor cursor(trimmed);
-  (void)cursor.next();  // token 0 is the record type, already parsed above
-  // Magnitude bound on every value field: 2^50 bytes (1 PiB) / ticks (~350
-  // years). Far beyond any real trace, but small enough that the block-size
-  // rescale and running start-time sum below can never overflow int64 on
-  // hostile input.
-  constexpr std::int64_t kFieldLimit = std::int64_t{1} << 50;
   auto next_int = [&](const char* field) -> std::int64_t {
-    const auto token = cursor.next();
-    if (!token) {
-      throw TraceFormatError(std::string("missing field '") + field + "' in: " +
-                             std::string(trimmed));
-    }
-    const auto v = parse_int(*token);
-    if (!v) {
-      throw TraceFormatError(std::string("unparseable field '") + field + "': " +
-                             std::string(*token));
-    }
-    if (*v > kFieldLimit || *v < -kFieldLimit) {
-      throw TraceFormatError(std::string("field '") + field + "' out of range: " +
-                             std::string(*token));
-    }
-    return *v;
+    if (const auto plain = cursor.next_plain(true)) return *plain;
+    return parse_field(cursor, field, trimmed);
   };
 
   TraceRecord record;
-  record.record_type = static_cast<std::uint16_t>(*type_value);
+  record.record_type = static_cast<std::uint16_t>(type_value);
 
   const std::int64_t comp = next_int("compression");
   if (comp < 0 || comp > 0xffff) throw TraceFormatError("compression flags out of range");
@@ -226,24 +256,23 @@ std::optional<TraceRecord> AsciiTraceDecoder::decode_line(std::string_view line)
   if (pid_field) {
     record.process_id = *pid_field;
   } else {
-    if (!has_last_process_) throw TraceFormatError("TRACE_NO_PROCESSID on first record");
-    record.process_id = last_process_id_;
+    if (!table_.has_previous()) throw TraceFormatError("TRACE_NO_PROCESSID on first record");
+    record.process_id = table_.previous_process();
   }
 
+  std::uint32_t* last_file = nullptr;
   if (file_field) {
     record.file_id = *file_field;
   } else {
-    const auto it = last_file_by_process_.find(record.process_id);
-    if (it == last_file_by_process_.end()) {
+    last_file = table_.last_file(record.process_id);
+    if (last_file == nullptr) {
       throw TraceFormatError("TRACE_NO_FILEID with no prior record for process " +
                              std::to_string(record.process_id));
     }
-    record.file_id = it->second;
+    record.file_id = *last_file;
   }
 
-  const std::uint64_t key = FileFieldState::key_of(record.process_id, record.file_id);
-  auto state_it = file_states_.find(key);
-  FileFieldState* state = state_it != file_states_.end() ? &state_it->second : nullptr;
+  FileFieldState* state = table_.file_state(record.process_id, record.file_id);
 
   if (op_field) {
     record.operation_id = *op_field;
@@ -275,7 +304,8 @@ std::optional<TraceRecord> AsciiTraceDecoder::decode_line(std::string_view line)
     record.length = state->last_length;
   }
 
-  record.start_time = has_previous_ ? previous_start_ + start_delta : start_delta;
+  record.start_time =
+      table_.has_previous() ? table_.previous_start() + start_delta : start_delta;
   if (start_delta < Ticks::zero()) throw TraceFormatError("negative start-time delta");
   // With per-field deltas capped at 2^50 this bound keeps the running sum
   // below 2^60, so the next addition cannot overflow either.
@@ -285,22 +315,12 @@ std::optional<TraceRecord> AsciiTraceDecoder::decode_line(std::string_view line)
 
   validate(record);
 
-  has_previous_ = true;
-  previous_start_ = record.start_time;
-  has_last_process_ = true;
-  last_process_id_ = record.process_id;
-  last_file_by_process_[record.process_id] = record.file_id;
-  file_states_[key].advance(record);
+  table_.commit(record, last_file, state);
   return record;
 }
 
 void AsciiTraceDecoder::reset() {
-  has_previous_ = false;
-  previous_start_ = Ticks::zero();
-  last_process_id_ = 0;
-  has_last_process_ = false;
-  last_file_by_process_.clear();
-  file_states_.clear();
+  table_.clear();
   last_comment_.clear();
   comment_count_ = 0;
 }

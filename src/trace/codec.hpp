@@ -21,25 +21,19 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 
 #include "trace/record.hpp"
+#include "util/flat_map.hpp"
 
 namespace craysim::trace {
 
-/// Per-file relative-field state every compressing codec keeps (ASCII and
-/// binary, encoder and decoder alike): what the file's next record may omit,
-/// or must be reconstructed from.
+/// Per-file relative-field state: what the file's next record may omit, or
+/// must be reconstructed from.
 struct FileFieldState {
   Bytes next_sequential_offset = 0;
   Bytes last_length = -1;
   std::uint32_t last_operation_id = 0;
   bool has_operation = false;
-
-  /// Map key of a (process, file) pair: pid<<32 | fileId.
-  static std::uint64_t key_of(std::uint32_t pid, std::uint32_t file_id) {
-    return (static_cast<std::uint64_t>(pid) << 32) | file_id;
-  }
 
   /// Records `record` as the file's latest access.
   void advance(const TraceRecord& record) {
@@ -48,6 +42,72 @@ struct FileFieldState {
     last_operation_id = record.operation_id;
     has_operation = true;
   }
+};
+
+/// The fields an encoder writes for one record: the compression flags the
+/// relative-field state permits, the kept offset and length (in blocks when
+/// the flags say so) and the start-time delta. `last_file` and `state` are
+/// the table lookups made on the way, for RelativeFieldTable::commit.
+struct CompressedFields {
+  std::uint16_t compression = 0;
+  Bytes offset = 0;
+  Bytes length = 0;
+  Ticks start_delta;
+  std::uint32_t* last_file = nullptr;
+  FileFieldState* state = nullptr;
+};
+
+/// The relative-field state every compressing codec keeps (ASCII and binary,
+/// encoder and decoder alike): the previous record's start time and process,
+/// each process's latest file, and each (process, file) pair's
+/// FileFieldState. Lookups return pointers that commit() writes through, so
+/// a record of a known process and file probes each map once. Any lookup
+/// invalidates the pointers of earlier lookups into the same map, so a
+/// record's lookups must be the last ones before its commit().
+class RelativeFieldTable {
+ public:
+  [[nodiscard]] bool has_previous() const { return has_previous_; }
+  [[nodiscard]] Ticks previous_start() const { return previous_start_; }
+  [[nodiscard]] std::uint32_t previous_process() const { return previous_process_; }
+
+  /// The file of `pid`'s latest record, or nullptr before its first.
+  [[nodiscard]] std::uint32_t* last_file(std::uint32_t pid) { return last_file_.find(pid); }
+
+  /// The state of `pid`'s file `file_id`, or nullptr before its first record.
+  [[nodiscard]] FileFieldState* file_state(std::uint32_t pid, std::uint32_t file_id) {
+    return files_.find(key_of(pid, file_id));
+  }
+
+  /// Chooses the tightest compression the table permits for `record`, a
+  /// non-comment record starting no earlier than the previous one. Changes
+  /// no state: commit() the record once its bytes are written.
+  [[nodiscard]] CompressedFields compress(const TraceRecord& record);
+
+  /// Makes `record` the latest of the trace, of its process and of its file.
+  /// `last_file` and `state` are this record's own lookups, or nullptr when
+  /// absent or not made; a hit is updated in place, a miss is inserted.
+  void commit(const TraceRecord& record, std::uint32_t* last_file, FileFieldState* state) {
+    has_previous_ = true;
+    previous_start_ = record.start_time;
+    previous_process_ = record.process_id;
+    if (last_file == nullptr) last_file = &last_file_.emplace(record.process_id);
+    *last_file = record.file_id;
+    if (state == nullptr) state = &files_.emplace(key_of(record.process_id, record.file_id));
+    state->advance(record);
+  }
+
+  void clear() { *this = RelativeFieldTable(); }
+
+ private:
+  static std::uint64_t key_of(std::uint32_t pid, std::uint32_t file_id) {
+    return (static_cast<std::uint64_t>(pid) << 32) | file_id;
+  }
+
+  bool has_previous_ = false;
+  Ticks previous_start_;
+  std::uint32_t previous_process_ = 0;
+  util::FlatMap64<std::uint32_t> last_file_;  // key: pid
+  util::FlatMap64<FileFieldState> files_;     // key: key_of(pid, file_id)
 };
 
 /// Stateful encoder: feed records carrying ABSOLUTE start times; emits
@@ -64,14 +124,10 @@ class AsciiTraceEncoder {
   [[nodiscard]] std::string encode_comment(std::string_view text) const;
 
   /// Forgets all relative-field state (e.g. between independent traces).
-  void reset();
+  void reset() { table_.clear(); }
 
  private:
-  bool has_previous_ = false;
-  Ticks previous_start_;
-  std::uint32_t last_process_id_ = 0;
-  std::unordered_map<std::uint32_t, std::uint32_t> last_file_by_process_;
-  std::unordered_map<std::uint64_t, FileFieldState> file_states_;  // key: FileFieldState::key_of
+  RelativeFieldTable table_;
 };
 
 /// Stateful decoder: feed wire lines in order; produces records with
@@ -93,12 +149,7 @@ class AsciiTraceDecoder {
   void reset();
 
  private:
-  bool has_previous_ = false;
-  Ticks previous_start_;
-  std::uint32_t last_process_id_ = 0;
-  bool has_last_process_ = false;
-  std::unordered_map<std::uint32_t, std::uint32_t> last_file_by_process_;
-  std::unordered_map<std::uint64_t, FileFieldState> file_states_;  // key: FileFieldState::key_of
+  RelativeFieldTable table_;
   std::string last_comment_;
   std::int64_t comment_count_ = 0;
 };
