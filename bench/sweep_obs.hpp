@@ -18,8 +18,9 @@
 //   --attribution <path>      per-point latency-attribution ledgers as JSONL
 //   --top <n>                 rows per table in the printed blame report
 //   --journal <path>          checkpoint settled points; resume a partial sweep
-//   --deadline <s>            per-point deadline (arms the flight recorder
-//                             together with --journal)
+//   --deadline <s>            per-point deadline, also bounding the --perfetto
+//                             re-run (arms the flight recorder together with
+//                             --journal)
 //   --max-attempts <n>        retry failed/timed-out points
 //   --chaos-fail <rate>, --chaos-hang <rate>, --chaos-seed <n>
 //                             inject point failures / deadline-length hangs
@@ -63,6 +64,7 @@
 #include "sim/params.hpp"
 #include "sim/simulator.hpp"
 #include "util/atomic_file.hpp"
+#include "util/cancel.hpp"
 #include "util/digest.hpp"
 #include "util/error.hpp"
 #include "workload/profiles.hpp"
@@ -434,10 +436,7 @@ class PaperSweep {
     runner::RunnerOptions options = base_;
     options.collect_telemetry = !args_.metrics_path.empty();
     if (!args_.journal_path.empty()) options.journal_path = args_.journal_path;
-    if (args_.deadline_s > 0.0) {
-      options.point_deadline =
-          std::chrono::nanoseconds(static_cast<std::int64_t>(args_.deadline_s * 1e9));
-    }
+    if (args_.deadline_s > 0.0) options.point_deadline = point_deadline();
     if (args_.max_attempts > 0) options.max_attempts = args_.max_attempts;
     if (args_.chaos_fail_rate > 0.0) options.chaos.fail_rate = args_.chaos_fail_rate;
     if (args_.chaos_hang_rate > 0.0) options.chaos.hang_rate = args_.chaos_hang_rate;
@@ -515,17 +514,26 @@ class PaperSweep {
   /// the sweep-wide ones, the --perfetto re-run of `report.trace_point`, and
   /// the --metrics snapshot of `results[report.metrics_point]` plus runner
   /// (and optionally phase) metrics. Returns the bench's exit status: 0, or
-  /// 1 on a span consistency failure.
+  /// 1 on a span consistency failure or when --deadline stops the re-run.
   [[nodiscard]] int finish(const std::vector<sim::SimResult>& results,
                            const SweepReport& report = {}) {
     if (!observer_->finish()) return 1;
     if (!args_.perfetto_path.empty()) {
       const auto scope = phases_.scope("perfetto");
       obs::SpanRecorder spans;
-      (void)simulate_(report.trace_point, [&](sim::SimParams& p) {
-        p.spans = &spans;
-        p.counter_interval = args_.counter_interval();
-      });
+      // --deadline bounds this re-run as it bounds each sweep point.
+      const util::CancelToken deadline(std::chrono::steady_clock::now() + point_deadline());
+      try {
+        (void)simulate_(report.trace_point, [&](sim::SimParams& p) {
+          p.spans = &spans;
+          p.counter_interval = args_.counter_interval();
+          if (args_.deadline_s > 0.0) p.cancel = &deadline;
+        });
+      } catch (const CancelledError& e) {
+        std::fprintf(stderr, "%s: --perfetto re-run of sweep point %zu failed: %s\n",
+                     program_.c_str(), report.trace_point, e.what());
+        return 1;
+      }
       const std::string problem = obs::check_consistency(spans);
       if (!problem.empty()) {
         std::fprintf(stderr, "span consistency check failed: %s\n", problem.c_str());
@@ -565,6 +573,11 @@ class PaperSweep {
       return fnv.value();
     }
   };
+
+  /// The --deadline budget of one simulation.
+  [[nodiscard]] std::chrono::nanoseconds point_deadline() const {
+    return std::chrono::nanoseconds(static_cast<std::int64_t>(args_.deadline_s * 1e9));
+  }
 
   [[noreturn]] void usage_exit(const std::string& message) const {
     std::fprintf(stderr, "%s: %s\n", program_.c_str(), message.c_str());

@@ -3,6 +3,7 @@
 // point's result is byte-identical to a direct Simulator run — and a bad
 // command line must fail with one line naming the flag and exit status 2.
 #include <cstdint>
+#include <cstdlib>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -159,6 +160,30 @@ TEST(PaperSweepDeathTest, DeadlineStopsTheSimulation) {
                         });
       },
       testing::ExitedWithCode(1), "sweep point 0 failed \\(timeout, 1 attempts\\)");
+}
+
+TEST(PaperSweepDeathTest, DeadlineStopsThePerfettoRerun) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // The sweep point itself returns at once; only the instrumented --perfetto
+  // re-run of it is long, and the same deadline must cut that one off too.
+  const std::string trace_path = testing::TempDir() + "deadline_rerun.json";
+  const char* argv[] = {"bench", "--deadline", "0.001", "--perfetto", trace_path.c_str()};
+  EXPECT_EXIT(
+      {
+        bench::PaperSweep sweep(5, argv);
+        const auto results = sweep.run(
+            std::vector<Bytes>{4}, [](Bytes) { return "4 MB"; }, cache_params,
+            [](const sim::SimParams& params) -> sim::SimResult {
+              if (params.spans == nullptr) return {};
+              sim::Simulator simulator(params);
+              simulator.add_app(workload::make_profile(workload::AppId::kVenus));
+              simulator.add_app(workload::make_profile(workload::AppId::kVenus));
+              return simulator.run();
+            });
+        std::exit(sweep.finish(results));
+      },
+      testing::ExitedWithCode(1),
+      "--perfetto re-run of sweep point 0 failed: cancelled: .*deadline expired");
 }
 
 }  // namespace
