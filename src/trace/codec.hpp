@@ -61,9 +61,9 @@ struct CompressedFields {
 /// encoder and decoder alike): the previous record's start time and process,
 /// each process's latest file, and each (process, file) pair's
 /// FileFieldState. Lookups return pointers that commit() writes through, so
-/// a record of a known process and file probes each map once. Any lookup
-/// invalidates the pointers of earlier lookups into the same map, so a
-/// record's lookups must be the last ones before its commit().
+/// a record of a known process and file probes each map once. A pointer
+/// from a lookup is valid until the next commit() or clear(), which may
+/// insert and so move entries.
 class RelativeFieldTable {
  public:
   [[nodiscard]] bool has_previous() const { return has_previous_; }
