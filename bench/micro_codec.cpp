@@ -4,11 +4,15 @@
 
 #include "micro_common.hpp"
 
+#include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <span>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "sim/process.hpp"
 #include "trace/binary.hpp"
 #include "trace/binary_stream.hpp"
 #include "trace/codec.hpp"
@@ -108,6 +112,44 @@ void BM_LoadTraceMmap(benchmark::State& state) {
   std::remove(path.c_str());
 }
 BENCHMARK(BM_LoadTraceMmap);
+
+// The text-replay path of sweepbench's replay_mix: five apps merged into one
+// text trace, replayed by one StreamingReplaySource per pid. Each source
+// decodes the whole file through open_record_stream (mmap) and keeps its
+// own pid's records, so an iteration decodes every record five times. Each
+// app is cut to its first 20k records to keep an iteration near 0.1 s.
+void BM_DecodeFilteredReplay(benchmark::State& state) {
+  constexpr workload::AppId kApps[] = {workload::AppId::kVenus, workload::AppId::kLes,
+                                       workload::AppId::kCcm, workload::AppId::kForma,
+                                       workload::AppId::kBvi};
+  constexpr std::size_t kRecordsPerApp = 20000;
+  std::vector<trace::Trace> traces;
+  std::uint32_t next_op = 1;
+  for (std::uint32_t k = 0; k < std::size(kApps); ++k) {
+    workload::TraceGenOptions options;
+    options.process_id = k + 1;
+    options.file_id_base = 100 * k;
+    options.first_operation_id = next_op;
+    trace::Trace t =
+        workload::synthesize_trace(workload::make_profile(kApps[k], 11 * (k + 1)), options);
+    t.resize(std::min(t.size(), kRecordsPerApp));
+    next_op += static_cast<std::uint32_t>(t.size());
+    traces.push_back(std::move(t));
+  }
+  const std::string path = "/tmp/craysim_bench_replay_mix.trace";
+  trace::save_trace(workload::merge_traces(traces), path);
+  std::int64_t records = 0;
+  for (auto _ : state) {
+    for (std::uint32_t pid = 1; pid <= std::size(kApps); ++pid) {
+      sim::StreamingReplaySource source(trace::open_record_stream(path), pid);
+      while (auto request = source.next()) benchmark::DoNotOptimize(&*request);
+      records += source.records_consumed();
+    }
+  }
+  state.SetItemsProcessed(records);
+  std::remove(path.c_str());
+}
+BENCHMARK(BM_DecodeFilteredReplay);
 
 void BM_SynthesizeTrace(benchmark::State& state) {
   const auto profile = workload::make_profile(workload::AppId::kVenus);

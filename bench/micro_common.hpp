@@ -14,15 +14,22 @@
 
 namespace craysim::bench {
 
-/// Console reporter that also captures ns/op per benchmark.
+/// Console reporter that also captures ns/op per benchmark. Under
+/// --benchmark_repetitions it captures the median of the repetitions, under
+/// the benchmark's plain name, and drops the single runs and the other
+/// aggregates.
 class CapturingReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
       if (run.error_occurred || run.iterations <= 0) continue;
+      if (run.run_type == Run::RT_Aggregate ? run.aggregate_name != "median"
+                                            : run.repetitions > 1) {
+        continue;
+      }
       const double ns_per_op =
           run.real_accumulated_time / static_cast<double>(run.iterations) * 1e9;
-      values_.emplace_back(run.benchmark_name() + "_ns_per_op", ns_per_op);
+      values_.emplace_back(run.run_name.str() + "_ns_per_op", ns_per_op);
     }
     ConsoleReporter::ReportRuns(runs);
   }
